@@ -29,6 +29,7 @@ from .core import (
     Monomial,
     UElement,
     _SparseElement,
+    _merge,
     bracket_m,
     MalcevVector,
     letter_monomial,
@@ -128,13 +129,7 @@ def mul_a(x: AElement, y: AElement) -> AElement:
     out: dict = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
-            c = cx * cy
-            for mono, coeff in _mul_a_mono(mx, my).items():
-                s = out.get(mono, 0) + c * coeff
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
+            _merge(out, _mul_a_mono(mx, my), cx * cy)
     return AElement._make(out)
 
 

@@ -13,7 +13,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 
 from .core import (
     LETTERS,
@@ -455,88 +454,40 @@ def _fmt_a(mono) -> str:
 def _scan_type2_closed(limit=4):
     """Exhaustive associator check on type-2 monomials with exponents < limit.
 
-    Works in 6-scaled integer arithmetic on packed exponent keys for speed
-    (16.7M triples at the default limit); the packed product tables are
-    verified against ``_mul_a_mono`` term by term, so the scan exercises
-    exactly the shipped product.  Returns a counterexample string or None.
+    Compares the associator of the shipped product ``_mul_a_mono`` with
+    :func:`type2_associator_closed` on every triple (16.7M at the default
+    limit).  For speed the products are tabulated once, on monomials
+    interned to small int ids and with coefficients scaled by 6 to
+    integers; a coefficient that is not a sixth stays an exact
+    ``Fraction``, so the scaling never rounds.  Returns a counterexample
+    string or None.
     """
-    F = [factorial(i) for i in range(16)]
-    EOFF = 1 << 20
+    ids: dict = {}
+    keys: list = []
 
-    def key4(i, j, k, l):
-        return (i << 12) | (j << 8) | (k << 4) | l
-
-    def unpack(mk):
-        e = 1 if mk & EOFF else 0
-        mk &= EOFF - 1
-        return ((mk >> 12) & 15, (mk >> 8) & 15, (mk >> 4) & 15, mk & 15, e)
-
-    def prod2(x, y):
-        # 6-scaled product of two type-2 exponent 4-tuples
-        i, j, k, l = x
-        p, q, r, s = y
-        terms = []
-        for mu in range(min(j, p) + 1):
-            c = F[mu] * comb(j, mu) * comb(p, mu) * 6
-            terms.append(
-                (key4(i + p - mu, j + q - mu, k + r + mu, l + s), -c if mu & 1 else c)
-            )
-        if k == 0:
-            if r == 0:
-                num = i * j * s - i * l * q + 3 * j * l * p + 2 * j * p * s - 2 * l * p * q
-                if num:
-                    terms.append((EOFF | key4(i + p - 1, j + q - 1, 0, l + s - 1), num))
-            elif r == 1 and l:
-                terms.append((EOFF | key4(i + p, j + q, 0, l + s - 1), -6 * l))
-        return tuple(terms)
-
-    def prod_right(mk, z):
-        # (any quotient monomial key) times (type-2 tuple), 6-scaled
-        if mk & EOFF:
-            if z[2]:
-                return ()
-            mk &= EOFF - 1
-            return (
-                (EOFF | key4((mk >> 12) + z[0], ((mk >> 8) & 15) + z[1], 0, (mk & 15) + z[3]), 6),
-            )
-        return prod2(((mk >> 12) & 15, (mk >> 8) & 15, (mk >> 4) & 15, mk & 15), z)
-
-    def prod_left(x, mk):
-        # (type-2 tuple) times (any quotient monomial key), 6-scaled
-        if mk & EOFF:
-            if x[2]:
-                return ()
-            mk &= EOFF - 1
-            return (
-                (EOFF | key4(x[0] + (mk >> 12), x[1] + ((mk >> 8) & 15), 0, x[3] + (mk & 15)), 6),
-            )
-        return prod2(x, ((mk >> 12) & 15, (mk >> 8) & 15, (mk >> 4) & 15, mk & 15))
+    def sixths(terms):
+        out = []
+        for mono, c in terms.items():
+            mid = ids.get(mono)
+            if mid is None:
+                mid = ids[mono] = len(keys)
+                keys.append(mono)
+            c6 = 6 * c
+            out.append((mid, int(c6) if c6.denominator == 1 else c6))
+        return tuple(out)
 
     monos = [
-        (i, j, k, l)
+        (i, j, k, l, 0)
         for i in range(limit)
         for j in range(limit)
         for k in range(limit)
         for l in range(limit)
     ]
     n = len(monos)
-    P = [[prod2(x, y) for y in monos] for x in monos]
-
-    # certify the packed tables against the shipped product before trusting them
-    for xi, x in enumerate(monos):
-        x5 = (x[0], x[1], x[2], x[3], 0)
-        for yi, y in enumerate(monos):
-            want = _mul_a_mono(x5, (y[0], y[1], y[2], y[3], 0))
-            got = {unpack(mk): Fraction(c, 6) for mk, c in P[xi][yi]}
-            if got != {m: Fraction(c) for m, c in want.items()}:
-                return (
-                    f"packed product table disagrees with mul_a at "
-                    f"{_fmt_a(x5)} * {_fmt_a((y[0], y[1], y[2], y[3], 0))}"
-                )
+    P = [[sixths(_mul_a_mono(x, y)) for y in monos] for x in monos]
 
     MZ: dict = {}
     XM: dict = {}
-    bad = None
     for xi in range(n):
         x = monos[xi]
         Px = P[xi]
@@ -551,69 +502,28 @@ def _scan_type2_closed(limit=4):
                     key = (mk, zi)
                     lst = MZ.get(key)
                     if lst is None:
-                        lst = MZ[key] = prod_right(mk, z)
+                        lst = MZ[key] = sixths(_mul_a_mono(keys[mk], z))
                     for ok, oc in lst:
                         acc[ok] = acc.get(ok, 0) + c * oc
                 for mk, c in Py[zi]:
                     key = (xi, mk)
                     lst = XM.get(key)
                     if lst is None:
-                        lst = XM[key] = prod_left(x, mk)
+                        lst = XM[key] = sixths(_mul_a_mono(x, keys[mk]))
                     for ok, oc in lst:
                         acc[ok] = acc.get(ok, 0) - c * oc
+                # the closed form vanishes unless no factor carries a c
                 if not (x[2] or y[2] or z[2]):
-                    num = (
-                        x[0] * y[1] * z[3]
-                        - x[0] * y[3] * z[1]
-                        - x[1] * y[0] * z[3]
-                        + x[1] * y[3] * z[0]
-                        + x[3] * y[0] * z[1]
-                        - x[3] * y[1] * z[0]
+                    for ok, oc in sixths(type2_associator_closed(x, y, z).terms):
+                        acc[ok] = acc.get(ok, 0) - 6 * oc
+                if any(acc.values()):
+                    xa, ya, za = _amono(x), _amono(y), _amono(z)
+                    return (
+                        f"type-2 associator mismatch on ({xa}, {ya}, {za}): "
+                        f"via mul_a = {associator_a(xa, ya, za)}; "
+                        f"closed form = {type2_associator_closed(x, y, z)}"
                     )
-                    if num:
-                        ek = EOFF | key4(
-                            x[0] + y[0] + z[0] - 1,
-                            x[1] + y[1] + z[1] - 1,
-                            0,
-                            x[3] + y[3] + z[3] - 1,
-                        )
-                        acc[ek] = acc.get(ek, 0) - 6 * num
-                for val in acc.values():
-                    if val:
-                        bad = (x, y, z)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-
-    # spot-check the cached second-level products as well
-    if bad is None:
-        for (mk, zi), lst in list(MZ.items())[:5000]:
-            m5 = unpack(mk)
-            z = monos[zi]
-            want = _mul_a_mono(m5, (z[0], z[1], z[2], z[3], 0))
-            got = {unpack(ok): Fraction(c, 6) for ok, c in lst}
-            if got != {m: Fraction(c) for m, c in want.items()}:
-                return f"cached product table disagrees with mul_a at {_fmt_a(m5)}"
-        return None
-
-    x, y, z = bad
-    xa = _amono((x[0], x[1], x[2], x[3], 0))
-    ya = _amono((y[0], y[1], y[2], y[3], 0))
-    za = _amono((z[0], z[1], z[2], z[3], 0))
-    via_mul = associator_a(xa, ya, za)
-    closed = type2_associator_closed(
-        (x[0], x[1], x[2], x[3], 0),
-        (y[0], y[1], y[2], y[3], 0),
-        (z[0], z[1], z[2], z[3], 0),
-    )
-    return (
-        f"type-2 associator mismatch on ({xa}, {ya}, {za}): "
-        f"via mul_a = {via_mul}; closed form = {closed}"
-    )
+    return None
 
 
 def _check_alternative(max_degree, samples, seed):
@@ -730,6 +640,11 @@ def run_suite(name, max_degree=5, samples=1000, seed=0) -> CheckReport:
         fn = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown check suite {name!r}; expected one of {SUITE_NAMES}") from None
+    if max_degree < 0 or samples < 0:
+        raise ValueError(
+            f"max_degree and samples must be nonnegative, got max_degree={max_degree}, "
+            f"samples={samples}"
+        )
     start = time.perf_counter()
     counterexample = fn(max_degree, samples, seed)
     duration = time.perf_counter() - start

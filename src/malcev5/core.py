@@ -10,13 +10,15 @@ coefficients are ``fractions.Fraction`` or plain ``int``.
 
 This module owns the shared vocabulary: letters, monomials, the graded-lex
 term order, combinatorial helpers with the vanishing conventions used by the
-closed formulas, vectors of the base algebra, and the sparse linear
-combination type that the other modules build on.
+closed formulas, vectors of the base algebra, the sparse linear
+combination type that the other modules build on, and the registry of
+memo tables.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from numbers import Rational
 
@@ -200,19 +202,79 @@ def jacobian_m(x: MalcevVector, y: MalcevVector, z: MalcevVector) -> MalcevVecto
 
 
 # ---------------------------------------------------------------------------
+# canonical text form
+# ---------------------------------------------------------------------------
+
+def format_monomial(mono: Monomial) -> str:
+    """``(1,1,0,2,0)`` -> ``abd^2``; the empty monomial prints as ``1``."""
+    parts = []
+    for letter, exp in zip(LETTERS, mono):
+        if exp == 1:
+            parts.append(letter)
+        elif exp > 1:
+            parts.append(f"{letter}^{exp}")
+    return "".join(parts) if parts else "1"
+
+
+def format_terms(sorted_items, render=format_monomial) -> str:
+    """Render ``[(key, coeff), ...]`` (already ordered) as canonical text.
+
+    ``render`` turns a key into text; a key that renders as ``1`` (the unit)
+    prints as its bare coefficient.
+    """
+    if not sorted_items:
+        return "0"
+    chunks = []
+    for n, (key, coeff) in enumerate(sorted_items):
+        coeff = Fraction(coeff)
+        neg = coeff < 0
+        mag = -coeff if neg else coeff
+        word = render(key)
+        if word == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = word
+        else:
+            body = f"{mag} {word}"
+        if n == 0:
+            chunks.append(f"-{body}" if neg else body)
+        else:
+            chunks.append(f" - {body}" if neg else f" + {body}")
+    return "".join(chunks)
+
+
+# ---------------------------------------------------------------------------
 # sparse linear combinations
 # ---------------------------------------------------------------------------
 
+def _merge(acc: dict, terms: dict, scale) -> None:
+    """Add ``scale * terms`` into the term dict ``acc`` in place, pruning zeros."""
+    if not scale:
+        return
+    for key, coeff in terms.items():
+        s = acc.get(key, 0) + scale * coeff
+        if s:
+            acc[key] = s
+        elif key in acc:
+            del acc[key]
+
+
 class _SparseElement:
-    """Shared machinery for exact sparse linear combinations of monomials.
+    """Shared machinery for exact sparse linear combinations of basis keys.
 
     Zero coefficients are never stored, so equality is plain comparison of
     the term maps.  Instances are immutable by contract: nothing in the
     package mutates ``terms`` after construction, which is what makes every
-    value here safe to share across threads and to memoize.
+    value here safe to share across threads and to memoize.  The keys are
+    monomials by default; a subclass over other keys overrides
+    ``_check_basis``, the display order ``_term_key`` and the renderer
+    ``_render_key``.
     """
 
     __slots__ = ("terms",)
+
+    _term_key = staticmethod(term_key)
+    _render_key = staticmethod(format_monomial)
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -248,7 +310,8 @@ class _SparseElement:
 
     def sorted_terms(self):
         """Terms in the canonical (graded-lex descending) display order."""
-        return sorted(self.terms.items(), key=lambda t: term_key(t[0]), reverse=True)
+        key = self._term_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def coefficient(self, mono) -> Rational:
         return self.terms.get(mono, 0)
@@ -306,7 +369,7 @@ class _SparseElement:
         return len(self.terms)
 
     def __str__(self):
-        return format_terms(self.sorted_terms())
+        return format_terms(self.sorted_terms(), self._render_key)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"
@@ -333,37 +396,49 @@ class UElement(_SparseElement):
 
 
 # ---------------------------------------------------------------------------
-# canonical text form
+# memo tables
 # ---------------------------------------------------------------------------
 
-def format_monomial(mono: Monomial) -> str:
-    """``(1,1,0,2,0)`` -> ``abd^2``; the empty monomial prints as ``1``."""
-    parts = []
-    for letter, exp in zip(LETTERS, mono):
-        if exp == 1:
-            parts.append(letter)
-        elif exp > 1:
-            parts.append(f"{letter}^{exp}")
-    return "".join(parts) if parts else "1"
+def _memo_limit():
+    raw = os.environ.get("MALCEV5_MEMO_LIMIT", "0")
+    try:
+        limit = int(raw)
+        if limit < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            "MALCEV5_MEMO_LIMIT must be a nonnegative integer "
+            f"(entries per memo table, 0 = unbounded), got {raw!r}"
+        ) from None
+    return limit or None
 
 
-def format_terms(sorted_items) -> str:
-    """Render ``[(mono, coeff), ...]`` (already ordered) as canonical text."""
-    if not sorted_items:
-        return "0"
-    chunks = []
-    for n, (mono, coeff) in enumerate(sorted_items):
-        coeff = Fraction(coeff)
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        if mono == ONE:
-            body = str(mag)
-        elif mag == 1:
-            body = format_monomial(mono)
-        else:
-            body = f"{mag} {format_monomial(mono)}"
-        if n == 0:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
+# Entries per memo table; 0 (the default) means unbounded.  A table that
+# reaches the cap is simply cleared and refilled -- results never change,
+# only how much gets remembered.
+_MEMO_LIMIT = _memo_limit()
+_MEMO_TABLES: list = []
+
+
+def memo_table() -> dict:
+    """A new memo table, capped by the limit and emptied by :func:`clear_memos`.
+
+    Lookups are plain ``dict.get``; insert with :func:`memo_put`.
+    """
+    table: dict = {}
+    _MEMO_TABLES.append(table)
+    return table
+
+
+def memo_put(table: dict, key, value):
+    """Store ``value`` under ``key`` in a memo table and return it."""
+    if _MEMO_LIMIT is not None and len(table) >= _MEMO_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def clear_memos() -> None:
+    """Empty every memo table (mainly useful for measuring cold runs)."""
+    for table in _MEMO_TABLES:
+        table.clear()

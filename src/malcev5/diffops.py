@@ -28,13 +28,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product as _iterproduct
-from numbers import Rational
 
 from .core import (
     LETTER_INDEX,
     LETTERS,
     UElement,
+    _SparseElement,
     binomial,
+    memo_put,
+    memo_table,
     multinomial,
 )
 
@@ -63,33 +65,35 @@ def _check_word(word) -> None:
         raise ValueError(f"malformed operator word {word!r}")
 
 
-class Operator:
-    """A normal-ordered differential operator with rational coefficients."""
+def _word_key(word):
+    mul, der = word
+    return (sum(mul) + sum(der), mul, der)
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        data = {}
-        for word, coeff in items:
-            _check_word(word)
-            if not isinstance(coeff, Rational):
-                raise TypeError(f"coefficients must be rational, got {coeff!r}")
-            if coeff:
-                data[word] = data.get(word, 0) + coeff
-                if not data[word]:
-                    del data[word]
-        self.terms = data
+def format_word(word) -> str:
+    """``((0,0,1,0,0), (0,1,0,0))`` -> ``M_c D_b``; the identity word prints as ``1``."""
+    mul, der = word
+    parts = [
+        f"M_{ch}" if e == 1 else f"M_{ch}^{e}" for ch, e in zip(LETTERS, mul) if e
+    ] + [
+        f"D_{ch}" if e == 1 else f"D_{ch}^{e}" for ch, e in zip(DERIV_LETTERS, der) if e
+    ]
+    return " ".join(parts) if parts else "1"
 
-    @classmethod
-    def _make(cls, clean: dict) -> "Operator":
-        op = object.__new__(cls)
-        op.terms = clean
-        return op
 
-    @classmethod
-    def zero(cls) -> "Operator":
-        return cls._make({})
+class Operator(_SparseElement):
+    """A normal-ordered differential operator with rational coefficients.
+
+    A sparse combination of words: the linear structure is the one every
+    element type shares; only the keys, their display order and their text
+    form differ.
+    """
+
+    __slots__ = ()
+
+    _check_basis = staticmethod(_check_word)
+    _term_key = staticmethod(_word_key)
+    _render_key = staticmethod(format_word)
 
     @classmethod
     def identity(cls) -> "Operator":
@@ -118,61 +122,10 @@ class Operator:
             raise ValueError("no derivation in the central letter e")
         return cls._make({((0, 0, 0, 0, 0), tuple(1 if t == v else 0 for t in range(4))): 1})
 
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            s = out.get(word, 0) + coeff
-            if s:
-                out[word] = s
-            elif word in out:
-                del out[word]
-        return Operator._make(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            s = out.get(word, 0) - coeff
-            if s:
-                out[word] = s
-            elif word in out:
-                del out[word]
-        return Operator._make(out)
-
-    def __neg__(self):
-        return Operator._make({w: -c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, Rational):
-            return NotImplemented
-        if not scalar:
-            return Operator._make({})
-        return Operator._make({w: scalar * c for w, c in self.terms.items()})
-
-    __mul__ = __rmul__
-
     def __matmul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
         return compose(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- action on the polynomial space --------------------------------------
 
     def apply(self, x: UElement) -> UElement:
         """Apply the operator to an element of the polynomial space."""
@@ -201,44 +154,6 @@ class Operator:
                 elif new in out:
                     del out[new]
         return UElement._make(out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def word_key(item):
-            (mul, der), _ = item
-            return (sum(mul) + sum(der), mul, der)
-        chunks = []
-        for n, ((mul, der), coeff) in enumerate(
-            sorted(self.terms.items(), key=word_key, reverse=True)
-        ):
-            coeff = Fraction(coeff)
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            parts = [
-                f"M_{ch}" if e == 1 else f"M_{ch}^{e}"
-                for ch, e in zip(LETTERS, mul)
-                if e
-            ] + [
-                f"D_{ch}" if e == 1 else f"D_{ch}^{e}"
-                for ch, e in zip(DERIV_LETTERS, der)
-                if e
-            ]
-            word = " ".join(parts) if parts else "1"
-            if mag == 1 and parts:
-                body = word
-            elif parts:
-                body = f"{mag} {word}"
-            else:
-                body = str(mag)
-            if n == 0:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f" - {body}" if neg else f" + {body}")
-        return "".join(chunks)
-
-    def __repr__(self):
-        return f"Operator({self.terms!r})"
 
 
 def compose(f: Operator, g: Operator) -> Operator:
@@ -355,6 +270,10 @@ def lmul(letter: str) -> Operator:
 # left multiplication by a whole monomial
 # ---------------------------------------------------------------------------
 
+_WORD_MEMO = memo_table()
+_L_MEMO = memo_table()
+
+
 def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     """The composed word ``L(a)^s D_a^t L(b)^u D_b^v L(c)^w D_d^x L(d)^y L(e)^z``.
 
@@ -378,11 +297,7 @@ def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     for op, count in factors:
         for _ in range(count):
             acc = compose(acc, op)
-    _WORD_MEMO[key] = acc
-    return acc
-
-
-_WORD_MEMO: dict = {}
+    return memo_put(_WORD_MEMO, key, acc)
 
 
 def lb_power_closed(u: int) -> Operator:
@@ -475,12 +390,7 @@ def l_of_monomial(mono) -> Operator:
                                             out[word] = s
                                         elif word in out:
                                             del out[word]
-    op = Operator._make(out)
-    _L_MEMO[mono] = op
-    return op
-
-
-_L_MEMO: dict = {}
+    return memo_put(_L_MEMO, mono, Operator._make(out))
 
 
 def l_of_monomial_via_factors(mono) -> Operator:

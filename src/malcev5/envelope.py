@@ -20,7 +20,6 @@ compares the two, together with the operator route, over a full degree range.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .core import (
@@ -29,40 +28,19 @@ from .core import (
     MalcevVector,
     Monomial,
     UElement,
+    _merge,
     binomial,
+    clear_memos,  # re-exported: envelope.clear_memos stays importable
     letter_monomial,
+    memo_put,
+    memo_table,
     multinomial,
 )
 
-# ---------------------------------------------------------------------------
-# memo tables
-# ---------------------------------------------------------------------------
-
-# Entries per memo table; 0 (the default) means unbounded.  A table that
-# reaches the cap is simply cleared and refilled -- results never change,
-# only how much gets remembered.
-_MEMO_LIMIT = int(os.environ.get("MALCEV5_MEMO_LIMIT", "0")) or None
-
-
-def _memo_put(table: dict, key, value):
-    if _MEMO_LIMIT is not None and len(table) >= _MEMO_LIMIT:
-        table.clear()
-    table[key] = value
-    return value
-
-
-_CLOSED_MEMO: dict = {}
-_LMUL_MEMO: dict = {}
-_BRACKET_MEMO: dict = {}
-_MUL_MEMO: dict = {}
-
-
-def clear_memos() -> None:
-    """Drop all memoized products (mainly useful for measuring cold runs)."""
-    _CLOSED_MEMO.clear()
-    _LMUL_MEMO.clear()
-    _BRACKET_MEMO.clear()
-    _MUL_MEMO.clear()
+_CLOSED_MEMO = memo_table()
+_LMUL_MEMO = memo_table()
+_BRACKET_MEMO = memo_table()
+_MUL_MEMO = memo_table()
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +60,9 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     if cached is not None:
         return cached
     if x == ONE:
-        return _memo_put(_CLOSED_MEMO, (x, y), UElement._make({y: 1}))
+        return memo_put(_CLOSED_MEMO, (x, y), UElement._make({y: 1}))
     if y == ONE:
-        return _memo_put(_CLOSED_MEMO, (x, y), UElement._make({x: 1}))
+        return memo_put(_CLOSED_MEMO, (x, y), UElement._make({x: 1}))
 
     i, j, k, l, m = x
     p, q, r, s, t = y
@@ -152,7 +130,7 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     out = UElement._make(
         {mono: Fraction(num, K) for mono, num in acc.items() if num}
     )
-    return _memo_put(_CLOSED_MEMO, (x, y), out)
+    return memo_put(_CLOSED_MEMO, (x, y), out)
 
 
 def mul_u(x: UElement, y: UElement) -> UElement:
@@ -160,13 +138,7 @@ def mul_u(x: UElement, y: UElement) -> UElement:
     out: dict = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
-            c = cx * cy
-            for mono, coeff in mul_u_closed(mx, my).terms.items():
-                s = out.get(mono, 0) + c * coeff
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
+            _merge(out, mul_u_closed(mx, my).terms, cx * cy)
     return UElement._make(out)
 
 
@@ -221,17 +193,6 @@ def _prepended(v, mono):
     return mono[:v] + (mono[v] + 1,) + mono[v + 1:]
 
 
-def _merge(acc, d, scale):
-    if not scale:
-        return
-    for mono, coeff in d.items():
-        s = acc.get(mono, 0) + scale * coeff
-        if s:
-            acc[mono] = s
-        elif mono in acc:
-            del acc[mono]
-
-
 def _bracket_dict(d, f):
     out: dict = {}
     for mono, coeff in d.items():
@@ -279,7 +240,7 @@ def _lmul_letter(f, x):
         # + 1/3 [y,[f,g]]
         for w, coeff in _B1.get((f, g), {}).items():
             _merge(out, _bracket_mono(y, _leading(w)), third * coeff)
-    return _memo_put(_LMUL_MEMO, key, out)
+    return memo_put(_LMUL_MEMO, key, out)
 
 
 def _bracket_mono(x, f):
@@ -309,7 +270,7 @@ def _bracket_mono(x, f):
     # - 1/2 [y,[f,g]]
     for w, coeff in _B1.get((f, g), {}).items():
         _merge(out, _bracket_mono(y, _leading(w)), -half * coeff)
-    return _memo_put(_BRACKET_MEMO, key, out)
+    return memo_put(_BRACKET_MEMO, key, out)
 
 
 def _mul_mono(x, z):
@@ -338,7 +299,7 @@ def _mul_mono(x, z):
     # - xt [z, f]
     for mono, coeff in _bracket_mono(z, f).items():
         _merge(out, _mul_mono(xt, mono), -coeff)
-    return _memo_put(_MUL_MEMO, key, out)
+    return memo_put(_MUL_MEMO, key, out)
 
 
 def mul_u_oracle(x: UElement, y: UElement) -> UElement:

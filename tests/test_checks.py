@@ -5,8 +5,11 @@ acceptance tests run them at their contractual sizes.  Here we only make
 sure every suite runs, passes, and reports deterministically at toy sizes.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from malcev5 import checks
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
 
 
@@ -34,6 +37,15 @@ def test_each_suite_passes_small(name):
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+@pytest.mark.parametrize(
+    "name, max_degree, samples",
+    [("malcev", 2, -5), ("oracle", -3, 1000), ("special", -1, -1)],
+)
+def test_negative_parameters_rejected(name, max_degree, samples):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        run_suite(name, max_degree=max_degree, samples=samples)
 
 
 def test_reports_deterministic():
@@ -69,3 +81,40 @@ def test_run_all_order_and_passing():
     reports = run_all(max_degree=2, samples=5, seed=0)
     assert tuple(r.suite for r in reports) == SUITE_NAMES
     assert all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# the type-2 scan notices a planted fault on either side of its comparison
+
+_A, _B, _D = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)
+_BD, _E = (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 6), Fraction(1, 7)], ids=["sixth", "seventh"])
+def test_type2_scan_catches_faulty_product(monkeypatch, delta):
+    # bd * a = abd - cd + 1/2 e; shift its type-1 term.  6 * (1/2 + 1/7) is not
+    # an integer, and truncating it would give back the right value 3.
+    real = checks._mul_a_mono
+
+    def faulty(x, y):
+        out = real(x, y)
+        if (x, y) == (_BD, _A):
+            out = dict(out)
+            out[_E] += delta
+        return out
+
+    monkeypatch.setattr(checks, "_mul_a_mono", faulty)
+    found = checks._scan_type2_closed(limit=3)
+    assert found is not None and found.startswith("type-2 associator mismatch")
+
+
+def test_type2_scan_catches_faulty_closed_form(monkeypatch):
+    real = checks.type2_associator_closed
+
+    def faulty(x, y, z):
+        out = real(x, y, z)
+        return 2 * out if (x, y, z) == (_A, _B, _D) else out
+
+    monkeypatch.setattr(checks, "type2_associator_closed", faulty)
+    found = checks._scan_type2_closed(limit=3)
+    assert found is not None and found.startswith("type-2 associator mismatch on (a, b, d)")

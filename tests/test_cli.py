@@ -164,6 +164,18 @@ def test_parse_error_exit_code(capsys):
     assert err.startswith("error: parse error at byte 1")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "malcev", "--samples", "-5"), ("check", "oracle", "--max-degree", "-3")],
+    ids=["samples", "max-degree"],
+)
+def test_check_negative_parameters_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be nonnegative" in err
+
+
 def test_quotient_rejects_ideal_input(capsys):
     code, _, err = run_cli(capsys, "mul", "--algebra", "a", "ce", "d")
     assert code == 2

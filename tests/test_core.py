@@ -1,10 +1,15 @@
 """Tests for the base Malcev algebra and the shared sparse-element machinery."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from malcev5 import core, diffops, envelope
 from malcev5.core import (
     LETTERS,
     ONE,
@@ -12,6 +17,7 @@ from malcev5.core import (
     UElement,
     binomial,
     bracket_m,
+    clear_memos,
     degree,
     falling_factorial,
     format_monomial,
@@ -294,3 +300,65 @@ def test_malcev_vector_u_element():
 
 def test_letters_constant():
     assert LETTERS == "abcde"
+
+
+# ---------------------------------------------------------------------------
+# memo tables
+
+
+def memo_tables():
+    return [
+        envelope._CLOSED_MEMO,
+        envelope._LMUL_MEMO,
+        envelope._BRACKET_MEMO,
+        envelope._MUL_MEMO,
+        diffops._L_MEMO,
+        diffops._WORD_MEMO,
+    ]
+
+
+def fill_memos():
+    abd = UElement.from_monomial((1, 1, 0, 1, 0))
+    envelope.associator_u(abd, abd, abd)
+    envelope.mul_u_oracle(abd, abd)
+    for mono in ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (1, 1, 0, 1, 0)):
+        diffops.l_of_monomial(mono)
+    diffops.l_of_monomial_via_factors((1, 1, 0, 1, 0))  # several standard words
+
+
+def test_clear_memos_empties_every_table():
+    fill_memos()
+    assert all(memo_tables())
+    clear_memos()
+    assert not any(memo_tables())
+    assert envelope.clear_memos is clear_memos
+
+
+def test_memo_limit_caps_every_table(monkeypatch):
+    monkeypatch.setattr(core, "_MEMO_LIMIT", 2)
+    clear_memos()
+    try:
+        fill_memos()
+        assert all(1 <= len(table) <= 2 for table in memo_tables())
+    finally:
+        clear_memos()
+
+
+@pytest.mark.parametrize("value, ok", [("3", True), ("-1", False), ("abc", False)])
+def test_memo_limit_must_be_a_nonnegative_integer(value, ok):
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ, MALCEV5_MEMO_LIMIT=value)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import malcev5"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if ok:
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert proc.returncode != 0
+        assert "MALCEV5_MEMO_LIMIT must be a nonnegative integer" in proc.stderr
+        assert f"got {value!r}" in proc.stderr
