@@ -1,10 +1,12 @@
 """Deterministic verification suites behind the ``check`` subcommand.
 
 Each suite re-derives one slice of the algebra by at least two independent
-routes and compares exactly.  Suites return ``None`` on success or a string
-describing the first counterexample found (inputs plus both computed
-values); :func:`run_suite` wraps that in a timed :class:`CheckReport`.
-Everything is deterministic for a fixed (max_degree, samples, seed).
+routes.  A suite is a generator of claims ``(what, case, values)``: a fixed
+label for the comparison, the raw inputs, and a dict of named results that
+must all be equal.  :func:`run_suite` feeds the claims to :func:`_compare`,
+the one place that tests them exactly and describes the first that fails,
+and wraps the outcome in a timed :class:`CheckReport`.  Everything is
+deterministic for a fixed (max_degree, samples, seed).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .core import (
     LETTERS,
@@ -80,18 +83,34 @@ class CheckReport:
         return head
 
 
+def _compare(claims):
+    """Test each claim exactly, in order, and describe the first that fails.
+
+    Returns None when every claim holds.  Otherwise no further claim is
+    drawn, and the text names the inputs and every compared value
+    (monomials by :func:`format_monomial`, everything else by ``str``).  A
+    stream with no claim at all fails too: a check that compared nothing
+    has shown nothing.
+    """
+    compared = 0
+    for what, case, values in claims:
+        compared += 1
+        first, *rest = values.values()
+        if any(v != first for v in rest):
+            def show(v):
+                return format_monomial(v) if isinstance(v, tuple) else str(v)
+
+            inputs = ", ".join(map(show, case))
+            shown = "; ".join(f"{name} = {show(v)}" for name, v in values.items())
+            return f"{what} mismatch on ({inputs}): {shown}"
+    return None if compared else "no cases compared"
+
+
 def _monomials(max_degree, letters=(0, 1, 2, 3, 4)):
     """All exponent tuples of total degree <= max_degree supported on
     the given letter indices, in ascending graded-lex order."""
-    out = [(0, 0, 0, 0, 0)]
-    for _ in range(max_degree):
-        grown = set()
-        for mono in out:
-            for v in letters:
-                grown.add(mono[:v] + (mono[v] + 1,) + mono[v + 1:])
-        out.extend(grown)
-        out = list(set(out))
-    return sorted(set(out), key=term_key)
+    box = product(*(range(max_degree + 1) if v in letters else (0,) for v in range(5)))
+    return sorted((mono for mono in box if sum(mono) <= max_degree), key=term_key)
 
 
 def _umono(mono) -> UElement:
@@ -141,34 +160,26 @@ def _check_oracle(max_degree, samples, seed):
         dx = sum(x)
         for y in monos:
             closed = mul_u_closed(x, y)
-            oracle = mul_u_oracle(xe, _umono(y))
-            via_op = op.apply(_umono(y))
-            if not (closed == oracle == via_op):
-                return (
-                    f"routes disagree on {format_monomial(x)} * {format_monomial(y)}: "
-                    f"closed = {closed}; oracle = {oracle}; operator = {via_op}"
-                )
+            yield "product routes", (x, y), {
+                "closed": closed,
+                "oracle": mul_u_oracle(xe, _umono(y)),
+                "operator": op.apply(_umono(y)),
+            }
             top = sum(y) + dx
-            lead = [m for m in closed.terms if sum(m) == top]
-            concat = tuple(a + b for a, b in zip(x, y))
-            if any(sum(m) > top for m in closed.terms) or lead != [concat] \
-                    or closed.terms[concat] != 1:
-                return (
-                    f"degree filtration violated at {format_monomial(x)} * "
-                    f"{format_monomial(y)}: {closed}"
-                )
+            yield "degree filtration", (x, y), {
+                "top-degree part": UElement._make(
+                    {m: c for m, c in closed.terms.items() if sum(m) >= top}
+                ),
+                "concatenation": _umono(tuple(a + b for a, b in zip(x, y))),
+            }
 
     # the nilpotent corner: one contraction index, and genuinely associative
     cde = _monomials(max_degree + 1, letters=(2, 3, 4))
     for x in cde:
         for y in cde:
-            lhs = mul_u_closed(x, y)
-            rhs = mul_cde_closed(x, y)
-            if lhs != rhs:
-                return (
-                    f"cde product mismatch at {format_monomial(x)} * "
-                    f"{format_monomial(y)}: closed = {lhs}; alpha-sum = {rhs}"
-                )
+            yield "cde product", (x, y), {
+                "closed": mul_u_closed(x, y), "alpha-sum": mul_cde_closed(x, y)
+            }
     cde_small = _monomials(max(max_degree - 1, 0), letters=(2, 3, 4))
     for x in cde_small:
         xe = _umono(x)
@@ -176,39 +187,29 @@ def _check_oracle(max_degree, samples, seed):
             xy = mul_u(xe, _umono(y))
             for z in cde_small:
                 ze = _umono(z)
-                lhs = mul_u(xy, ze)
-                rhs = mul_u(xe, mul_u(_umono(y), ze))
-                if lhs != rhs:
-                    return (
-                        f"cde associativity fails on ({format_monomial(x)}, "
-                        f"{format_monomial(y)}, {format_monomial(z)}): "
-                        f"(xy)z = {lhs}; x(yz) = {rhs}"
-                    )
+                yield "cde associativity", (x, y, z), {
+                    "(xy)z": mul_u(xy, ze), "x(yz)": mul_u(xe, mul_u(_umono(y), ze))
+                }
 
     # the non-power-associativity witness, frozen exactly
-    abd = _umono((1, 1, 0, 1, 0))
-    witness = associator_u(abd, abd, abd)
-    expected = UElement(
-        {
-            (1, 1, 1, 2, 1): Fraction(1, 6),
-            (1, 1, 0, 1, 2): Fraction(-1, 6),
-            (0, 0, 2, 2, 1): Fraction(-1, 6),
-            (0, 0, 1, 1, 2): Fraction(11, 36),
-            (0, 0, 0, 0, 3): Fraction(-1, 12),
-        }
-    )
-    if witness != expected:
-        return f"(abd,abd,abd) = {witness}, expected {expected}"
-    return None
+    abd = (1, 1, 0, 1, 0)
+    yield "witness", (abd, abd, abd), {
+        "associator": associator_u(_umono(abd), _umono(abd), _umono(abd)),
+        "frozen": UElement(
+            {
+                (1, 1, 1, 2, 1): Fraction(1, 6),
+                (1, 1, 0, 1, 2): Fraction(-1, 6),
+                (0, 0, 2, 2, 1): Fraction(-1, 6),
+                (0, 0, 1, 1, 2): Fraction(11, 36),
+                (0, 0, 0, 0, 3): Fraction(-1, 12),
+            }
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
 # operators suite: faithfulness, commutator table, straightening, powers
 # ---------------------------------------------------------------------------
-
-def _word(mul, der, coeff=1):
-    return Operator.word(mul, der, coeff)
-
 
 _ME = (0, 0, 0, 0, 1)
 _MC = (0, 0, 1, 0, 0)
@@ -216,20 +217,20 @@ _D0 = (0, 0, 0, 0)
 
 # the nonzero [L(x),L(y)], [R(x),R(y)], [L(x),R(y)] commutators
 _COMMUTATOR_TABLE = {
-    ("L", "a", "L", "b"): _word(_MC, _D0) + _word(_ME, (0, 0, 0, 1), Fraction(-1, 3)),
-    ("L", "a", "L", "d"): _word(_ME, (0, 1, 0, 0), Fraction(1, 3)),
-    ("L", "b", "L", "d"): _word(_ME, (1, 0, 0, 0), Fraction(-1, 3)),
-    ("L", "c", "L", "d"): _word(_ME, _D0),
-    ("R", "a", "R", "d"): _word(_ME, (0, 1, 0, 0)),
-    ("R", "b", "R", "d"): _word(_ME, (1, 0, 0, 0), -1),
-    ("L", "a", "R", "b"): _word(_MC, _D0, -1) + _word(_ME, (0, 0, 0, 1), Fraction(1, 2)),
-    ("L", "a", "R", "d"): _word(_ME, (0, 1, 0, 0), Fraction(-1, 2)),
-    ("L", "b", "R", "a"): _word(_MC, _D0) + _word(_ME, (0, 0, 0, 1), Fraction(-1, 2)),
-    ("L", "b", "R", "d"): _word(_ME, (1, 0, 0, 0), Fraction(1, 2)),
-    ("L", "c", "R", "d"): _word(_ME, _D0, -1),
-    ("L", "d", "R", "a"): _word(_ME, (0, 1, 0, 0), Fraction(1, 2)),
-    ("L", "d", "R", "b"): _word(_ME, (1, 0, 0, 0), Fraction(-1, 2)),
-    ("L", "d", "R", "c"): _word(_ME, _D0),
+    ("L", "a", "L", "b"): Operator({(_MC, _D0): 1, (_ME, (0, 0, 0, 1)): Fraction(-1, 3)}),
+    ("L", "a", "L", "d"): Operator({(_ME, (0, 1, 0, 0)): Fraction(1, 3)}),
+    ("L", "b", "L", "d"): Operator({(_ME, (1, 0, 0, 0)): Fraction(-1, 3)}),
+    ("L", "c", "L", "d"): Operator({(_ME, _D0): 1}),
+    ("R", "a", "R", "d"): Operator({(_ME, (0, 1, 0, 0)): 1}),
+    ("R", "b", "R", "d"): Operator({(_ME, (1, 0, 0, 0)): -1}),
+    ("L", "a", "R", "b"): Operator({(_MC, _D0): -1, (_ME, (0, 0, 0, 1)): Fraction(1, 2)}),
+    ("L", "a", "R", "d"): Operator({(_ME, (0, 1, 0, 0)): Fraction(-1, 2)}),
+    ("L", "b", "R", "a"): Operator({(_MC, _D0): 1, (_ME, (0, 0, 0, 1)): Fraction(-1, 2)}),
+    ("L", "b", "R", "d"): Operator({(_ME, (1, 0, 0, 0)): Fraction(1, 2)}),
+    ("L", "c", "R", "d"): Operator({(_ME, _D0): -1}),
+    ("L", "d", "R", "a"): Operator({(_ME, (0, 1, 0, 0)): Fraction(1, 2)}),
+    ("L", "d", "R", "b"): Operator({(_ME, (1, 0, 0, 0)): Fraction(-1, 2)}),
+    ("L", "d", "R", "c"): Operator({(_ME, _D0): 1}),
 }
 
 
@@ -241,57 +242,41 @@ def _check_operators(max_degree, samples, seed):
         ve = UElement.from_letter(ch)
         for x in monos:
             xe = _umono(x)
-            got = rv.apply(xe)
-            want = bracket_u_oracle(xe, ch)
-            if got != want:
-                return (
-                    f"rho({ch}) applied to {format_monomial(x)} gives {got}, "
-                    f"oracle bracket gives {want}"
-                )
-            got = lv.apply(xe)
-            want = mul_u_oracle(ve, xe)
-            if got != want:
-                return (
-                    f"lmul({ch}) applied to {format_monomial(x)} gives {got}, "
-                    f"oracle product gives {want}"
-                )
+            yield "faithfulness", (ch, x), {
+                "rho": rv.apply(xe), "oracle bracket": bracket_u_oracle(xe, ch)
+            }
+            yield "faithfulness", (ch, x), {
+                "lmul": lv.apply(xe), "oracle product": mul_u_oracle(ve, xe)
+            }
 
     # commutator table: listed pairs match, everything else commutes
     ops = {"L": lmul, "R": rho}
-    for k1 in ("L", "R"):
-        for k2 in ("L", "R"):
-            if (k1, k2) == ("R", "L"):
-                continue  # covered by ("L", "R") up to sign
-            for c1 in LETTERS:
-                for c2 in LETTERS:
-                    if k1 == k2 and c1 >= c2:
-                        continue
-                    f, g = ops[k1](c1), ops[k2](c2)
-                    got = compose(f, g) - compose(g, f)
-                    want = _COMMUTATOR_TABLE.get((k1, c1, k2, c2), Operator.zero())
-                    if got != want:
-                        return (
-                            f"[{k1}({c1}), {k2}({c2})] = {got}, table says {want}"
-                        )
+    # ("R", "L") is covered by ("L", "R") up to sign
+    for k1, k2 in (("L", "L"), ("L", "R"), ("R", "R")):
+        for c1 in LETTERS:
+            for c2 in LETTERS:
+                if k1 == k2 and c1 >= c2:
+                    continue
+                f, g = ops[k1](c1), ops[k2](c2)
+                yield "commutator table", (f"{k1}({c1})", f"{k2}({c2})"), {
+                    "commutator": compose(f, g) - compose(g, f),
+                    "table": _COMMUTATOR_TABLE.get((k1, c1, k2, c2), Operator.zero()),
+                }
 
     # power expansions of L(b) and L(d)
     for power_closed, ch in ((lb_power_closed, "b"), (ld_power_closed, "d")):
         acc = Operator.identity()
         for n in range(1, 6):
             acc = compose(acc, lmul(ch))
-            want = power_closed(n)
-            if acc != want:
-                return f"L({ch})^{n} = {acc}, closed expansion says {want}"
+            yield "power expansion", (f"L({ch})", n), {
+                "composed": acc, "closed": power_closed(n)
+            }
 
     # nine-index closed form vs composed standard words
     for x in _monomials(max_degree):
-        lhs = l_of_monomial(x)
-        rhs = l_of_monomial_via_factors(x)
-        if lhs != rhs:
-            return (
-                f"left multiplication by {format_monomial(x)}: closed form = "
-                f"{lhs}; composed words = {rhs}"
-            )
+        yield "left multiplication", (x,), {
+            "closed form": l_of_monomial(x), "composed words": l_of_monomial_via_factors(x)
+        }
 
     # straightening identity on 100 seeded standard-order words
     rng = random.Random(seed)
@@ -312,11 +297,7 @@ def _check_operators(max_degree, samples, seed):
             rhs = rhs + Fraction(u, 6) * standard_word(s, t, u - 1, v, w, x + 1, y, z + 1)
         if y:
             rhs = rhs - Fraction(y, 6) * standard_word(s, t, u, v + 1, w, x, y - 1, z + 1)
-        if lhs != rhs:
-            return (
-                f"straightening fails on word {(s, t, u, v, w, x, y, z)}: "
-                f"lhs = {lhs}; rhs = {rhs}"
-            )
+        yield "straightening", (s, t, u, v, w, x, y, z), {"lhs": lhs, "rhs": rhs}
 
     # compose is associative and realizes function composition
     rng = random.Random(seed + 1)
@@ -331,12 +312,13 @@ def _check_operators(max_degree, samples, seed):
     test_monos = _monomials(3)
     for _ in range(min(samples, 200)):
         f, g, h = rand_op(), rand_op(), rand_op()
-        if compose(compose(f, g), h) != compose(f, compose(g, h)):
-            return f"compose not associative on {f!r}, {g!r}, {h!r}"
+        yield "compose associativity", (f, g, h), {
+            "(fg)h": compose(compose(f, g), h), "f(gh)": compose(f, compose(g, h))
+        }
         el = UElement({rng.choice(test_monos): _rand_nonzero(rng) for _ in range(3)})
-        if compose(f, g).apply(el) != f.apply(g.apply(el)):
-            return f"compose/apply mismatch on {f!r}, {g!r} at {el}"
-    return None
+        yield "compose/apply", (f, g, el), {
+            "(fg)(el)": compose(f, g).apply(el), "f(g(el))": f.apply(g.apply(el))
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +335,11 @@ def _check_nucleus(max_degree, samples, seed):
             ye = _umono(y)
             xy = mul_u(xe, ye)
             for ch, ge in letters:
-                a1 = mul_u(mul_u(ge, xe), ye) - mul_u(ge, xy)
-                a2 = mul_u(mul_u(xe, ge), ye) - mul_u(xe, mul_u(ge, ye))
-                a3 = mul_u(xy, ge) - mul_u(xe, mul_u(ye, ge))
-                if not (a1 == -1 * a2 == a3):
-                    return (
-                        f"nucleus relations fail for g={ch}, x={format_monomial(x)}, "
-                        f"y={format_monomial(y)}: (g,x,y) = {a1}; (x,g,y) = {a2}; "
-                        f"(x,y,g) = {a3}"
-                    )
+                yield "nucleus relations", (ch, x, y), {
+                    "(g,x,y)": mul_u(mul_u(ge, xe), ye) - mul_u(ge, xy),
+                    "-(x,g,y)": mul_u(xe, mul_u(ge, ye)) - mul_u(mul_u(xe, ge), ye),
+                    "(x,y,g)": mul_u(xy, ge) - mul_u(xe, mul_u(ye, ge)),
+                }
 
     # associator of two generators against anything, via commutators
     sixth = Fraction(1, 6)
@@ -370,19 +348,14 @@ def _check_nucleus(max_degree, samples, seed):
             fg = bracket_u(fe, ge)
             for y in monos:
                 ye = _umono(y)
-                got = associator_u(fe, ge, ye)
-                want = sixth * (
-                    bracket_u(bracket_u(ye, fe), ge)
-                    - bracket_u(bracket_u(ye, ge), fe)
-                    - bracket_u(ye, fg)
-                )
-                if got != want:
-                    return (
-                        f"associator-commutator formula fails for f={f_ch}, "
-                        f"g={g_ch}, y={format_monomial(y)}: associator = {got}; "
-                        f"bracket side = {want}"
-                    )
-    return None
+                yield "associator-commutator formula", (f_ch, g_ch, y), {
+                    "associator": associator_u(fe, ge, ye),
+                    "bracket side": sixth * (
+                        bracket_u(bracket_u(ye, fe), ge)
+                        - bracket_u(bracket_u(ye, ge), fe)
+                        - bracket_u(ye, fg)
+                    ),
+                }
 
 
 # ---------------------------------------------------------------------------
@@ -399,28 +372,19 @@ def _check_malcev(max_degree, samples, seed):
     ]
     for x, y, z in triples:
         lhs_m = bracket_m(jacobian_m(x, y, z), x)
-        rhs_m = jacobian_m(x, y, bracket_m(x, z))
-        if lhs_m != rhs_m:
-            return (
-                f"Malcev identity fails in the base algebra on {x!r}, {y!r}, {z!r}: "
-                f"[J(x,y,z),x] = {lhs_m!r}; J(x,y,[x,z]) = {rhs_m!r}"
-            )
+        yield "Malcev identity in the base algebra", (x, y, z), {
+            "[J(x,y,z),x]": lhs_m, "J(x,y,[x,z])": jacobian_m(x, y, bracket_m(x, z))
+        }
         xe, ye, ze = embed(x), embed(y), embed(z)
-        lhs_u = bracket_u(jacobian_u(xe, ye, ze), xe)
-        rhs_u = jacobian_u(xe, ye, bracket_u(xe, ze))
-        if not (lhs_u == rhs_u == embed(lhs_m)):
-            return (
-                f"Malcev identity diverges in the envelope on {x!r}, {y!r}, {z!r}: "
-                f"[J(x,y,z),x] = {lhs_u}; J(x,y,[x,z]) = {rhs_u}; "
-                f"base algebra says {embed(lhs_m)}"
-            )
+        yield "Malcev identity in the envelope", (x, y, z), {
+            "[J(x,y,z),x]": bracket_u(jacobian_u(xe, ye, ze), xe),
+            "J(x,y,[x,z])": jacobian_u(xe, ye, bracket_u(xe, ze)),
+            "base algebra": embed(lhs_m),
+        }
         # degree-1 commutators factor through the base bracket
-        if bracket_u(xe, ye) != embed(bracket_m(x, y)):
-            return (
-                f"degree-1 commutator of {x!r}, {y!r} is {bracket_u(xe, ye)}, "
-                f"base bracket embeds to {embed(bracket_m(x, y))}"
-            )
-    return None
+        yield "degree-1 commutator", (x, y), {
+            "envelope": bracket_u(xe, ye), "base bracket": embed(bracket_m(x, y))
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -432,35 +396,28 @@ def _check_homomorphism(max_degree, samples, seed):
     for x in monos:
         px = project(_umono(x))
         for y in monos:
-            lhs = project(mul_u_closed(x, y))
-            rhs = mul_a(px, project(_umono(y)))
-            if lhs != rhs:
-                return (
-                    f"projection breaks on {format_monomial(x)} * "
-                    f"{format_monomial(y)}: project(mul_u) = {lhs}; "
-                    f"mul_a(project, project) = {rhs}"
-                )
-    return None
+            yield "projection", (x, y), {
+                "project(mul_u)": project(mul_u_closed(x, y)),
+                "mul_a(project, project)": mul_a(px, project(_umono(y))),
+            }
 
 
 # ---------------------------------------------------------------------------
 # alternative suite: alternativity, alternation, the closed associator
 # ---------------------------------------------------------------------------
 
-def _fmt_a(mono) -> str:
-    return format_monomial(mono)
-
-
 def _scan_type2_closed(limit=4):
     """Exhaustive associator check on type-2 monomials with exponents < limit.
 
     Compares the associator of the shipped product ``_mul_a_mono`` with
     :func:`type2_associator_closed` on every triple (16.7M at the default
-    limit).  For speed the products are tabulated once, on monomials
-    interned to small int ids and with coefficients scaled by 6 to
-    integers; a coefficient that is not a sixth stays an exact
-    ``Fraction``, so the scaling never rounds.  Returns a counterexample
-    string or None.
+    limit), and yields one claim: the first triple that differs, or else
+    the last triple.  For speed the products are tabulated once, on
+    monomials interned to small int ids and with coefficients scaled by 6
+    to integers; a coefficient that is not a sixth stays an exact
+    ``Fraction``, so the scaling never rounds.  The claimed associator is
+    rebuilt from the scan's own accumulator, so a fault in the tabulated
+    products shows in it.
     """
     ids: dict = {}
     keys: list = []
@@ -476,13 +433,14 @@ def _scan_type2_closed(limit=4):
             out.append((mid, int(c6) if c6.denominator == 1 else c6))
         return tuple(out)
 
-    monos = [
-        (i, j, k, l, 0)
-        for i in range(limit)
-        for j in range(limit)
-        for k in range(limit)
-        for l in range(limit)
-    ]
+    def claim(x, y, z, acc):
+        # acc holds 36 * (associator - closed form): each product of two
+        # 6-scaled coefficients carries 36
+        closed = type2_associator_closed(x, y, z)
+        via = AElement({keys[ok]: Fraction(oc, 36) for ok, oc in acc.items()}) + closed
+        return "type-2 associator", (x, y, z), {"via mul_a": via, "closed form": closed}
+
+    monos = [(i, j, k, l, 0) for i, j, k, l in product(range(limit), repeat=4)]
     n = len(monos)
     P = [[sixths(_mul_a_mono(x, y)) for y in monos] for x in monos]
 
@@ -517,63 +475,43 @@ def _scan_type2_closed(limit=4):
                     for ok, oc in sixths(type2_associator_closed(x, y, z).terms):
                         acc[ok] = acc.get(ok, 0) - 6 * oc
                 if any(acc.values()):
-                    xa, ya, za = _amono(x), _amono(y), _amono(z)
-                    return (
-                        f"type-2 associator mismatch on ({xa}, {ya}, {za}): "
-                        f"via mul_a = {associator_a(xa, ya, za)}; "
-                        f"closed form = {type2_associator_closed(x, y, z)}"
-                    )
-    return None
+                    yield claim(x, y, z, acc)
+                    return
+    yield claim(x, y, z, acc)
 
 
 def _check_alternative(max_degree, samples, seed):
+    zero = AElement.zero()
     # the quotient kills its generators
-    ab = UElement._make({(1, 1, 0, 0, 0): 1})
-    d = UElement._make({(0, 0, 0, 1, 0): 1})
-    bd = UElement._make({(0, 1, 0, 1, 0): 1})
-    a2 = UElement._make({(2, 0, 0, 0, 0): 1})
-    alt1 = associator_u(ab, ab, d)
-    alt2 = associator_u(bd, bd, a2)
-    if alt1 != UElement({(0, 0, 1, 0, 1): Fraction(-1, 6)}):
-        return f"(ab,ab,d) = {alt1}, expected -1/6 ce"
-    if alt2 != UElement({(0, 0, 0, 0, 2): Fraction(1, 18)}):
-        return f"(bd,bd,a^2) = {alt2}, expected 1/18 e^2"
-    if project(alt1) or project(alt2):
-        return (
-            f"alternators survive projection: {project(alt1)}, {project(alt2)}"
-        )
+    ab, d, bd, a2 = (1, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 1, 0, 1, 0), (2, 0, 0, 0, 0)
+    for triple, frozen in (
+        ((ab, ab, d), UElement({(0, 0, 1, 0, 1): Fraction(-1, 6)})),
+        ((bd, bd, a2), UElement({(0, 0, 0, 0, 2): Fraction(1, 18)})),
+    ):
+        alternator = associator_u(*map(_umono, triple))
+        yield "alternator", triple, {"associator": alternator, "frozen": frozen}
+        yield "alternator projection", triple, {"projection": project(alternator), "zero": zero}
 
     # alternativity on seeded random elements
     rng = random.Random(seed)
     for _ in range(samples):
         x = _rand_a_element(rng)
         y = _rand_a_element(rng)
-        left = associator_a(x, x, y)
-        right = associator_a(y, x, x)
-        if left or right:
-            return (
-                f"alternativity fails for x = {x}, y = {y}: "
-                f"(x,x,y) = {left}; (y,x,x) = {right}"
-            )
+        yield "alternativity", (x, y), {
+            "(x,x,y)": associator_a(x, x, y), "(y,x,x)": associator_a(y, x, x), "zero": zero
+        }
 
     # any type-1 slot kills the associator (small exhaustive scan)
-    t1 = [(i, j, 0, l, 1) for i in (0, 1) for j in (0, 1) for l in (0, 1)]
-    t2 = [
-        (i, j, k, l, 0)
-        for i in (0, 1)
-        for j in (0, 1)
-        for k in (0, 1)
-        for l in (0, 1)
-    ]
+    t1 = [(i, j, 0, l, 1) for i, j, l in product((0, 1), repeat=3)]
+    t2 = [(i, j, k, l, 0) for i, j, k, l in product((0, 1), repeat=4)]
     quotient = t1 + t2
     for m1 in t1:
         for m2 in quotient:
             for m3 in quotient:
                 for triple in ((m1, m2, m3), (m2, m1, m3), (m2, m3, m1)):
-                    got = associator_a(*(map(_amono, triple)))
-                    if got:
-                        names = ", ".join(_fmt_a(m) for m in triple)
-                        return f"type-1 slot associator ({names}) = {got}, expected 0"
+                    yield "type-1 slot", triple, {
+                        "associator": associator_a(*map(_amono, triple)), "zero": zero
+                    }
 
     # alternation: sign flips under each transposition
     rng = random.Random(seed + 1)
@@ -588,25 +526,20 @@ def _check_alternative(max_degree, samples, seed):
         )
     for m1, m2, m3 in tri:
         a1, a2_, a3 = _amono(m1), _amono(m2), _amono(m3)
-        base = associator_a(a1, a2_, a3)
-        for swapped in (
-            (a2_, a1, a3),
-            (a1, a3, a2_),
-            (a3, a2_, a1),
-        ):
-            if associator_a(*swapped) != -1 * base:
-                names = ", ".join(_fmt_a(m) for m in (m1, m2, m3))
-                return f"associator not alternating on ({names})"
+        yield "alternation", (m1, m2, m3), {
+            "(x,y,z)": associator_a(a1, a2_, a3),
+            "-(y,x,z)": -associator_a(a2_, a1, a3),
+            "-(x,z,y)": -associator_a(a1, a3, a2_),
+            "-(z,y,x)": -associator_a(a3, a2_, a1),
+        }
 
     # the closed form, exhaustively (exponents <= 3 at the default degree)
-    return _scan_type2_closed(limit=max(2, min(max_degree - 1, 4)))
+    yield from _scan_type2_closed(limit=max(2, min(max_degree - 1, 4)))
 
 
 def _check_special(max_degree, samples, seed):
-    report = check_speciality()
-    if report.passed:
-        return None
-    return "; ".join(report.failures)
+    failures = check_speciality().failures
+    yield "speciality", (), {"failures": "; ".join(failures) or "none", "expected": "none"}
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +579,7 @@ def run_suite(name, max_degree=5, samples=1000, seed=0) -> CheckReport:
             f"samples={samples}"
         )
     start = time.perf_counter()
-    counterexample = fn(max_degree, samples, seed)
+    counterexample = _compare(fn(max_degree, samples, seed))
     duration = time.perf_counter() - start
     return CheckReport(
         suite=name,

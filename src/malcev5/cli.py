@@ -15,10 +15,10 @@ import sys
 
 from .alternative import AElement, associator_a, mul_a, project
 from .checks import SUITE_NAMES, run_suite
-from .core import ComputationError, UElement
+from .core import ComputationError, UElement, memo_limit
 from .diffops import lmul, rho
 from .envelope import associator_u, bracket_u, mul_u
-from .exprs import ParseError, element_json, parse_element
+from .exprs import element_json, parse_element
 
 
 def _bracket_a(x: AElement, y: AElement) -> AElement:
@@ -162,11 +162,9 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        memo_limit()  # a bad MALCEV5_MEMO_LIMIT is a usage error for every command
         return _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:

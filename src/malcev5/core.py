@@ -43,12 +43,19 @@ def monomial(i: int, j: int, k: int, l: int, m: int) -> Monomial:
     return mono
 
 
+def _are_exponents(values) -> bool:
+    """The one exponent rule: every value is a nonnegative ``int``, not a ``bool``."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            return False
+    return True
+
+
 def _check_monomial(mono) -> None:
     if not (isinstance(mono, tuple) and len(mono) == 5):
         raise ValueError(f"monomial must be a 5-tuple of exponents, got {mono!r}")
-    for v in mono:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"exponents must be nonnegative integers, got {mono!r}")
+    if not _are_exponents(mono):
+        raise ValueError(f"exponents must be nonnegative integers, got {mono!r}")
 
 
 def degree(mono: Monomial) -> int:
@@ -399,25 +406,37 @@ class UElement(_SparseElement):
 # memo tables
 # ---------------------------------------------------------------------------
 
-def _memo_limit():
-    raw = os.environ.get("MALCEV5_MEMO_LIMIT", "0")
-    try:
-        limit = int(raw)
-        if limit < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            "MALCEV5_MEMO_LIMIT must be a nonnegative integer "
-            f"(entries per memo table, 0 = unbounded), got {raw!r}"
-        ) from None
-    return limit or None
-
-
-# Entries per memo table; 0 (the default) means unbounded.  A table that
-# reaches the cap is simply cleared and refilled -- results never change,
-# only how much gets remembered.
-_MEMO_LIMIT = _memo_limit()
+# Entries per memo table, None for unbounded; _UNREAD until memo_limit()
+# first runs.  A table that reaches the cap is simply cleared and refilled --
+# results never change, only how much gets remembered.
+_UNREAD = object()
+_MEMO_LIMIT = _UNREAD
 _MEMO_TABLES: list = []
+
+
+def memo_limit():
+    """The cap on entries per memo table set by ``MALCEV5_MEMO_LIMIT``.
+
+    Returns None for unbounded (unset or ``0``).  The variable is read on
+    first use rather than at import, so that the command line can report a
+    bad value like any other usage error; a value that is not a
+    nonnegative integer raises ``ValueError`` naming the variable and the
+    value.
+    """
+    global _MEMO_LIMIT
+    if _MEMO_LIMIT is _UNREAD:
+        raw = os.environ.get("MALCEV5_MEMO_LIMIT", "0")
+        try:
+            limit = int(raw)
+            if limit < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                "MALCEV5_MEMO_LIMIT must be a nonnegative integer "
+                f"(entries per memo table, 0 = unbounded), got {raw!r}"
+            ) from None
+        _MEMO_LIMIT = limit or None
+    return _MEMO_LIMIT
 
 
 def memo_table() -> dict:
@@ -432,7 +451,8 @@ def memo_table() -> dict:
 
 def memo_put(table: dict, key, value):
     """Store ``value`` under ``key`` in a memo table and return it."""
-    if _MEMO_LIMIT is not None and len(table) >= _MEMO_LIMIT:
+    limit = _MEMO_LIMIT if _MEMO_LIMIT is not _UNREAD else memo_limit()
+    if limit is not None and len(table) >= limit:
         table.clear()
     table[key] = value
     return value

@@ -34,6 +34,7 @@ from .core import (
     LETTERS,
     UElement,
     _SparseElement,
+    _are_exponents,
     binomial,
     memo_put,
     memo_table,
@@ -58,8 +59,8 @@ def _check_word(word) -> None:
         and isinstance(word[1], tuple)
         and len(word[0]) == 5
         and len(word[1]) == 4
-        and all(isinstance(v, int) and v >= 0 for v in word[0])
-        and all(isinstance(v, int) and v >= 0 for v in word[1])
+        and _are_exponents(word[0])
+        and _are_exponents(word[1])
     )
     if not ok:
         raise ValueError(f"malformed operator word {word!r}")

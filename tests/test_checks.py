@@ -11,6 +11,7 @@ import pytest
 
 from malcev5 import checks
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
+from malcev5.core import UElement
 
 
 def test_suite_names_stable():
@@ -104,7 +105,7 @@ def test_type2_scan_catches_faulty_product(monkeypatch, delta):
         return out
 
     monkeypatch.setattr(checks, "_mul_a_mono", faulty)
-    found = checks._scan_type2_closed(limit=3)
+    found = checks._compare(checks._scan_type2_closed(limit=3))
     assert found is not None and found.startswith("type-2 associator mismatch")
 
 
@@ -116,5 +117,49 @@ def test_type2_scan_catches_faulty_closed_form(monkeypatch):
         return 2 * out if (x, y, z) == (_A, _B, _D) else out
 
     monkeypatch.setattr(checks, "type2_associator_closed", faulty)
-    found = checks._scan_type2_closed(limit=3)
+    found = checks._compare(checks._scan_type2_closed(limit=3))
     assert found is not None and found.startswith("type-2 associator mismatch on (a, b, d)")
+
+
+# ---------------------------------------------------------------------------
+# the claim runner
+
+
+def test_suite_without_cases_fails(monkeypatch):
+    monkeypatch.setitem(checks._SUITES, "special", lambda max_degree, samples, seed: iter(()))
+    report = run_suite("special")
+    assert not report.passed
+    assert report.counterexample == "no cases compared"
+
+
+def test_runner_stops_at_first_failing_claim(monkeypatch):
+    drawn = []
+
+    def suite(max_degree, samples, seed):
+        for n, right in enumerate((UElement.one(), UElement.zero(), None)):
+            drawn.append(n)
+            yield "probe", ((1, 1, 0, 0, 0), "x"), {"left": UElement.one(), "right": right}
+
+    monkeypatch.setitem(checks._SUITES, "special", suite)
+    report = run_suite("special")
+    assert not report.passed
+    assert report.counterexample == "probe mismatch on (ab, x): left = 1; right = 0"
+    assert drawn == [0, 1]
+
+
+def test_oracle_reports_a_planted_fault(monkeypatch):
+    # b * a = ab - c; the recursive oracle now says ab - c + e
+    real = checks.mul_u_oracle
+    b, a = UElement.from_letter("b"), UElement.from_letter("a")
+
+    def faulty(x, y):
+        out = real(x, y)
+        return out + UElement.from_letter("e") if (x, y) == (b, a) else out
+
+    monkeypatch.setattr(checks, "mul_u_oracle", faulty)
+    report = run_suite("oracle", max_degree=2)
+    assert not report.passed
+    assert report.counterexample == (
+        "product routes mismatch on (b, a): closed = ab - c; oracle = ab - c + e; "
+        "operator = ab - c"
+    )

@@ -1,10 +1,14 @@
 """Tests for the command-line interface (in-process, via main)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from malcev5 import checks
+from malcev5 import checks, cli
 from malcev5.checks import CheckReport
 from malcev5.cli import main
 
@@ -134,7 +138,9 @@ def test_check_with_parameters(capsys):
 
 def test_check_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(
-        checks._SUITES, "special", lambda max_degree, samples, seed: "forced failure"
+        checks._SUITES,
+        "special",
+        lambda max_degree, samples, seed: iter([("forced failure", (), {"got": 1, "want": 2})]),
     )
     code, out, _ = run_cli(capsys, "check", "special")
     assert code == 1
@@ -174,6 +180,27 @@ def test_check_negative_parameters_exit_code(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "must be nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [("check", "special"), ("mul", "b", "a")], ids=["check", "mul"])
+def test_bad_memo_limit_exit_code(argv):
+    # read in a fresh process: the library reads the variable once
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, MALCEV5_MEMO_LIMIT="abc")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "malcev5.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: MALCEV5_MEMO_LIMIT must be a nonnegative integer "
+        "(entries per memo table, 0 = unbounded), got 'abc'"
+    ]
 
 
 def test_quotient_rejects_ideal_input(capsys):

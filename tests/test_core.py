@@ -350,7 +350,7 @@ def test_memo_limit_must_be_a_nonnegative_integer(value, ok):
     env = dict(os.environ, MALCEV5_MEMO_LIMIT=value)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", "import malcev5"],
+        [sys.executable, "-c", "import malcev5 as m; m.mul_u(m.UElement.one(), m.UElement.one())"],
         env=env,
         capture_output=True,
         text=True,

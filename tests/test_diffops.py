@@ -56,6 +56,10 @@ def test_word_validation():
         Operator.word((1, 0, 0, 0), (0, 0, 0, 0))
     with pytest.raises(TypeError):
         Operator({((0, 0, 0, 0, 0), (0, 0, 0, 0)): 0.5})
+    with pytest.raises(ValueError):
+        Operator.word((True, 0, 0, 0, 0), (0, 0, 0, 0))  # bool is not an exponent
+    with pytest.raises(ValueError):
+        Operator.word((0, 0, 0, 0, 0), (False, 0, 0, 0))
 
 
 def test_no_derivation_in_e():
