@@ -43,9 +43,7 @@ from .envelope import (
 )
 from .alternative import (
     AElement,
-    SpecialityReport,
     associator_a,
-    check_speciality,
     in_ideal_j,
     is_type1,
     is_type2,

@@ -20,18 +20,14 @@ Both are cross-checked against the enveloping product: ``project`` after
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    LETTERS,
     ONE,
     Monomial,
     UElement,
     _SparseElement,
-    _merge,
-    bracket_m,
-    MalcevVector,
+    _bilinear,
     letter_monomial,
 )
 
@@ -126,11 +122,7 @@ def _mul_a_mono(x: Monomial, y: Monomial):
 
 def mul_a(x: AElement, y: AElement) -> AElement:
     """Bilinear product on the quotient (closed structure constants)."""
-    out: dict = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            _merge(out, _mul_a_mono(mx, my), cx * cy)
-    return AElement._make(out)
+    return AElement._make(_bilinear(x.terms, y.terms, _mul_a_mono))
 
 
 def associator_a(x: AElement, y: AElement, z: AElement) -> AElement:
@@ -159,43 +151,3 @@ def type2_associator_closed(x: Monomial, y: Monomial, z: Monomial) -> AElement:
         return AElement.zero()
     mono = (i + p + v - 1, j + q + w - 1, 0, l + s + u - 1, 1)
     return AElement._make({mono: Fraction(num, 6)})
-
-
-# ---------------------------------------------------------------------------
-# speciality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecialityReport:
-    """Outcome of the injectivity/speciality sanity checks on the quotient."""
-
-    passed: bool
-    failures: tuple = ()
-
-
-def check_speciality() -> SpecialityReport:
-    """Verify that the base algebra survives inside the quotient.
-
-    Two things must hold: no degree-1 monomial lies in the alternator
-    ideal (the quotient map is injective on the base algebra), and the
-    commutator of the quotient restricted to degree-1 elements reproduces
-    the defining brackets -- i.e. the base algebra embeds as a subalgebra
-    of the commutator algebra of an alternative algebra.
-    """
-    failures = []
-    for ch in LETTERS:
-        if in_ideal_j(letter_monomial(ch)):
-            failures.append(f"degree-1 monomial {ch} lies in the alternator ideal")
-    for chx in LETTERS:
-        for chy in LETTERS:
-            x = AElement.from_letter(chx)
-            y = AElement.from_letter(chy)
-            comm = mul_a(x, y) - mul_a(y, x)
-            expected = project(
-                bracket_m(MalcevVector.basis(chx), MalcevVector.basis(chy)).u_element()
-            )
-            if comm != expected:
-                failures.append(
-                    f"[{chx},{chy}] in the quotient is {comm}, expected {expected}"
-                )
-    return SpecialityReport(passed=not failures, failures=tuple(failures))

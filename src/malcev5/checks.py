@@ -24,6 +24,7 @@ from .core import (
     bracket_m,
     format_monomial,
     jacobian_m,
+    letter_monomial,
     term_key,
 )
 from .diffops import (
@@ -52,7 +53,7 @@ from .alternative import (
     AElement,
     _mul_a_mono,
     associator_a,
-    check_speciality,
+    in_ideal_j,
     mul_a,
     project,
     type2_associator_closed,
@@ -538,8 +539,22 @@ def _check_alternative(max_degree, samples, seed):
 
 
 def _check_special(max_degree, samples, seed):
-    failures = check_speciality().failures
-    yield "speciality", (), {"failures": "; ".join(failures) or "none", "expected": "none"}
+    # the quotient map is injective on the base algebra ...
+    for ch in LETTERS:
+        yield "letter outside the alternator ideal", (ch,), {
+            "in ideal": in_ideal_j(letter_monomial(ch)), "expected": False
+        }
+    # ... and the quotient's commutator restricts to the defining brackets,
+    # so the base algebra is a subalgebra of the commutator algebra of an
+    # alternative algebra
+    for chx in LETTERS:
+        x, vx = AElement.from_letter(chx), MalcevVector.basis(chx)
+        for chy in LETTERS:
+            y = AElement.from_letter(chy)
+            yield "quotient commutator", (chx, chy), {
+                "[x,y]": mul_a(x, y) - mul_a(y, x),
+                "base bracket": project(embed(bracket_m(vx, MalcevVector.basis(chy)))),
+            }
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ Monomial = tuple[int, int, int, int, int]
 #: the empty monomial, i.e. the unit of the enveloping algebra
 ONE: Monomial = (0, 0, 0, 0, 0)
 
+# the degree-one monomial of each letter, by letter index
+_UNIT = tuple(tuple(int(t == v) for t in range(5)) for v in range(5))
+
 
 class ComputationError(RuntimeError):
     """An evaluation strategy could not finish (e.g. recursion exhausted)."""
@@ -73,12 +76,17 @@ def term_key(mono: Monomial):
     return (sum(mono), mono)
 
 
-def letter_monomial(letter: str) -> Monomial:
-    """The degree-one monomial for a single generator letter."""
+def _letter_index(letter: str) -> int:
+    """The index of a generator letter; the one check for an unknown letter."""
     v = LETTER_INDEX.get(letter)
     if v is None:
         raise ValueError(f"unknown generator {letter!r}; expected one of {LETTERS!r}")
-    return tuple(1 if t == v else 0 for t in range(5))
+    return v
+
+
+def letter_monomial(letter: str) -> Monomial:
+    """The degree-one monomial for a single generator letter."""
+    return _UNIT[_letter_index(letter)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +143,7 @@ class MalcevVector:
 
     @classmethod
     def basis(cls, letter: str) -> "MalcevVector":
-        v = LETTER_INDEX.get(letter)
-        if v is None:
-            raise ValueError(f"unknown generator {letter!r}")
-        return cls(tuple(1 if t == v else 0 for t in range(5)))
+        return cls(_UNIT[_letter_index(letter)])
 
     @classmethod
     def zero(cls) -> "MalcevVector":
@@ -146,11 +151,7 @@ class MalcevVector:
 
     def u_element(self) -> "UElement":
         """The image of this vector under the canonical degree-1 embedding."""
-        terms = {}
-        for v, coeff in enumerate(self.coords):
-            if coeff:
-                terms[tuple(1 if t == v else 0 for t in range(5))] = coeff
-        return UElement._make(terms)
+        return UElement._make(_pruned(dict(zip(_UNIT, self.coords))))
 
     def __add__(self, other):
         if not isinstance(other, MalcevVector):
@@ -254,16 +255,43 @@ def format_terms(sorted_items, render=format_monomial) -> str:
 # sparse linear combinations
 # ---------------------------------------------------------------------------
 
-def _merge(acc: dict, terms: dict, scale) -> None:
-    """Add ``scale * terms`` into the term dict ``acc`` in place, pruning zeros."""
-    if not scale:
-        return
-    for key, coeff in terms.items():
-        s = acc.get(key, 0) + scale * coeff
-        if s:
-            acc[key] = s
-        elif key in acc:
+def _pruned(acc: dict) -> dict:
+    """Delete the zero coefficients of the term dict ``acc`` in place; return it.
+
+    Accumulators sum without checking for zero and pass through here once,
+    before they become an element or a memoized term dict: this is the one
+    place that keeps the rule that zero coefficients are never stored.
+    """
+    if not all(acc.values()):  # one scan when nothing cancelled
+        for key in [key for key, coeff in acc.items() if not coeff]:
             del acc[key]
+    return acc
+
+
+def _merge(acc: dict, terms: dict, scale) -> None:
+    """Add ``scale * terms`` into the term dict ``acc`` in place (zeros kept).
+
+    A sum that cancelled restarts from the integer 0, so the type of a
+    coefficient does not depend on whether it passed through zero.
+    """
+    for key, coeff in terms.items():
+        acc[key] = (acc.get(key) or 0) + scale * coeff
+
+
+def _bilinear(xs: dict, ys: dict, kernel) -> dict:
+    """The bilinear extension of ``kernel`` to two term dicts, pruned.
+
+    ``kernel(kx, ky)`` gives the term dict of one pair of basis keys; the
+    coefficients ``cx * cy`` are multiplied only for pairs whose result is
+    not empty.
+    """
+    out: dict = {}
+    for kx, cx in xs.items():
+        for ky, cy in ys.items():
+            terms = kernel(kx, ky)
+            if terms:
+                _merge(out, terms, cx * cy)
+    return _pruned(out)
 
 
 class _SparseElement:
@@ -290,11 +318,8 @@ class _SparseElement:
             self._check_basis(mono)
             if not isinstance(coeff, Rational):
                 raise TypeError(f"coefficients must be rational, got {coeff!r}")
-            if coeff:
-                data[mono] = data.get(mono, 0) + coeff
-                if not data[mono]:
-                    del data[mono]
-        self.terms = data
+            data[mono] = (data.get(mono) or 0) + coeff
+        self.terms = _pruned(data)
 
     @staticmethod
     def _check_basis(mono) -> None:
@@ -328,24 +353,16 @@ class _SparseElement:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return type(self)._make(out)
+            out[mono] = out.get(mono, 0) + coeff
+        return type(self)._make(_pruned(out))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) - coeff
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return type(self)._make(out)
+            out[mono] = out.get(mono, 0) - coeff
+        return type(self)._make(_pruned(out))
 
     def __neg__(self):
         return type(self)._make({mono: -coeff for mono, coeff in self.terms.items()})

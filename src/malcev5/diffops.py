@@ -30,11 +30,15 @@ from fractions import Fraction
 from itertools import product as _iterproduct
 
 from .core import (
-    LETTER_INDEX,
     LETTERS,
+    ONE,
     UElement,
     _SparseElement,
+    _UNIT,
     _are_exponents,
+    _bilinear,
+    _letter_index,
+    _pruned,
     binomial,
     memo_put,
     memo_table,
@@ -48,7 +52,12 @@ DERIV_LETTERS = "abcd"
 # over a..e, der a 4-tuple of D-exponents over a..d.
 Word = tuple[tuple[int, int, int, int, int], tuple[int, int, int, int]]
 
-_IDENTITY_WORD: Word = ((0, 0, 0, 0, 0), (0, 0, 0, 0))
+_D0 = (0, 0, 0, 0)
+_IDENTITY_WORD: Word = (ONE, _D0)
+
+# the exponent tuple of M_x and of D_x, by letter
+_M = dict(zip(LETTERS, _UNIT))
+_D = {ch: unit[:4] for ch, unit in zip(DERIV_LETTERS, _UNIT)}
 
 
 def _check_word(word) -> None:
@@ -108,20 +117,14 @@ class Operator(_SparseElement):
     @classmethod
     def mul_by(cls, letter: str) -> "Operator":
         """The multiplication operator ``M_letter``."""
-        v = LETTER_INDEX.get(letter)
-        if v is None:
-            raise ValueError(f"unknown generator {letter!r}")
-        return cls._make({(tuple(1 if t == v else 0 for t in range(5)), (0, 0, 0, 0)): 1})
+        return cls._make({(_UNIT[_letter_index(letter)], _D0): 1})
 
     @classmethod
     def deriv(cls, letter: str) -> "Operator":
         """The derivation ``D_letter``; the central letter has no derivation."""
-        v = LETTER_INDEX.get(letter)
-        if v is None:
-            raise ValueError(f"unknown generator {letter!r}")
-        if v == 4:
+        if _letter_index(letter) == 4:
             raise ValueError("no derivation in the central letter e")
-        return cls._make({((0, 0, 0, 0, 0), tuple(1 if t == v else 0 for t in range(4))): 1})
+        return cls._make({(ONE, _D[letter]): 1})
 
     def __matmul__(self, other):
         if not isinstance(other, Operator):
@@ -130,31 +133,52 @@ class Operator(_SparseElement):
 
     def apply(self, x: UElement) -> UElement:
         """Apply the operator to an element of the polynomial space."""
-        out = {}
-        for mono, mc in x.terms.items():
-            for (mul, der), oc in self.terms.items():
-                factor = 1
-                for v in range(4):
-                    k = der[v]
-                    if k:
-                        factor *= math.perm(mono[v], k)
-                        if not factor:
-                            break
-                if not factor:
-                    continue
-                new = (
-                    mono[0] - der[0] + mul[0],
-                    mono[1] - der[1] + mul[1],
-                    mono[2] - der[2] + mul[2],
-                    mono[3] - der[3] + mul[3],
-                    mono[4] + mul[4],
-                )
-                s = out.get(new, 0) + oc * mc * factor
-                if s:
-                    out[new] = s
-                elif new in out:
-                    del out[new]
-        return UElement._make(out)
+        return UElement._make(_bilinear(x.terms, self.terms, _apply_word))
+
+
+def _apply_word(mono, word) -> dict:
+    """The word ``M^mul D^der`` applied to a basis monomial (term dict)."""
+    mul, der = word
+    factor = 1
+    for v in range(4):
+        k = der[v]
+        if k:
+            factor *= math.perm(mono[v], k)
+            if not factor:
+                return {}
+    new = (
+        mono[0] - der[0] + mul[0],
+        mono[1] - der[1] + mul[1],
+        mono[2] - der[2] + mul[2],
+        mono[3] - der[3] + mul[3],
+        mono[4] + mul[4],
+    )
+    return {new: factor}
+
+
+# the only (contraction, weight) choice of a letter that D and M do not share
+_NO_CONTRACTION = ((0, 1),)
+
+
+def _compose_words(w1, w2) -> dict:
+    """The normal-ordered product of two words (term dict), expanded as in
+    :func:`compose` over one ``(i, i! C(m,i) C(n,i))`` choice per letter."""
+    (m1, d1), (m2, d2) = w1, w2
+    choices = [
+        [(i, math.factorial(i) * math.comb(m, i) * math.comb(n, i)) for i in range(min(m, n) + 1)]
+        if m and n else _NO_CONTRACTION
+        for m, n in zip(d1, m2)
+    ]
+    out = {}
+    for (ia, wa), (ib, wb), (ic, wc), (id_, wd) in _iterproduct(*choices):
+        word = (
+            (m1[0] + m2[0] - ia, m1[1] + m2[1] - ib, m1[2] + m2[2] - ic,
+             m1[3] + m2[3] - id_, m1[4] + m2[4]),
+            (d1[0] + d2[0] - ia, d1[1] + d2[1] - ib, d1[2] + d2[2] - ic,
+             d1[3] + d2[3] - id_),
+        )
+        out[word] = wa * wb * wc * wd
+    return out
 
 
 def compose(f: Operator, g: Operator) -> Operator:
@@ -165,54 +189,7 @@ def compose(f: Operator, g: Operator) -> Operator:
     M^(n-i) D^(m-i)``, and distinct letters commute, so the product of two
     words expands over one contraction index per colliding letter.
     """
-    out = {}
-    for (m1, d1), c1 in f.terms.items():
-        for (m2, d2), c2 in g.terms.items():
-            base = c1 * c2
-            options = []
-            for v in range(4):
-                m, n = d1[v], m2[v]
-                top = min(m, n)
-                if top:
-                    options.append(
-                        [
-                            (v, i, math.factorial(i) * math.comb(m, i) * math.comb(n, i))
-                            for i in range(top + 1)
-                        ]
-                    )
-            if not options:
-                word = (
-                    tuple(m1[t] + m2[t] for t in range(5)),
-                    tuple(d1[t] + d2[t] for t in range(4)),
-                )
-                s = out.get(word, 0) + base
-                if s:
-                    out[word] = s
-                elif word in out:
-                    del out[word]
-                continue
-            for combo in _iterproduct(*options):
-                drop = [0, 0, 0, 0]
-                weight = 1
-                for v, i, w in combo:
-                    drop[v] = i
-                    weight *= w
-                word = (
-                    (
-                        m1[0] + m2[0] - drop[0],
-                        m1[1] + m2[1] - drop[1],
-                        m1[2] + m2[2] - drop[2],
-                        m1[3] + m2[3] - drop[3],
-                        m1[4] + m2[4],
-                    ),
-                    tuple(d1[t] + d2[t] - drop[t] for t in range(4)),
-                )
-                s = out.get(word, 0) + base * weight
-                if s:
-                    out[word] = s
-                elif word in out:
-                    del out[word]
-    return Operator._make(out)
+    return Operator._make(_bilinear(f.terms, g.terms, _compose_words))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +199,6 @@ def compose(f: Operator, g: Operator) -> Operator:
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
 
-_M = {ch: tuple(1 if t == i else 0 for t in range(5)) for i, ch in enumerate(LETTERS)}
-_D = {ch: tuple(1 if t == i else 0 for t in range(4)) for i, ch in enumerate(DERIV_LETTERS)}
-_D0 = (0, 0, 0, 0)
 _Dab = (1, 1, 0, 0)
 _Dad = (1, 0, 0, 1)
 _Dbd = (0, 1, 0, 1)
@@ -253,18 +227,12 @@ _LMUL = {ch: Operator._make(dict(t)) for ch, t in _LMUL_TABLE.items()}
 
 def rho(letter: str) -> Operator:
     """Right multiplication by a generator, as a normal-ordered operator."""
-    try:
-        return _RHO[letter]
-    except KeyError:
-        raise ValueError(f"unknown generator {letter!r}") from None
+    return _RHO[LETTERS[_letter_index(letter)]]
 
 
 def lmul(letter: str) -> Operator:
     """Left multiplication by a generator, as a normal-ordered operator."""
-    try:
-        return _LMUL[letter]
-    except KeyError:
-        raise ValueError(f"unknown generator {letter!r}") from None
+    return _LMUL[LETTERS[_letter_index(letter)]]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +279,7 @@ def lb_power_closed(u: int) -> Operator:
             )
             word = ((0, eps, zeta, 0, u - eps - zeta), (u - eps, 0, 0, u - eps - zeta))
             terms[word] = terms.get(word, 0) + coeff
-    return Operator._make({w: c for w, c in terms.items() if c})
+    return Operator._make(_pruned(terms))
 
 
 def ld_power_closed(y: int) -> Operator:
@@ -324,7 +292,7 @@ def ld_power_closed(y: int) -> Operator:
             )
             word = ((0, 0, 0, eta, y - eta), (y - eta - theta, y - eta - theta, theta, 0))
             terms[word] = terms.get(word, 0) + coeff
-    return Operator._make({w: c for w, c in terms.items() if c})
+    return Operator._make(_pruned(terms))
 
 
 def l_of_monomial(mono) -> Operator:
@@ -386,12 +354,8 @@ def l_of_monomial(mono) -> Operator:
                                                 rem_j - lam,
                                             ),
                                         )
-                                        s = out.get(word, 0) + Fraction(num, den)
-                                        if s:
-                                            out[word] = s
-                                        elif word in out:
-                                            del out[word]
-    return memo_put(_L_MEMO, mono, Operator._make(out))
+                                        out[word] = out.get(word, 0) + Fraction(num, den)
+    return memo_put(_L_MEMO, mono, Operator._make(_pruned(out)))
 
 
 def l_of_monomial_via_factors(mono) -> Operator:

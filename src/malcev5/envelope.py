@@ -28,10 +28,13 @@ from .core import (
     MalcevVector,
     Monomial,
     UElement,
+    _UNIT,
+    _bilinear,
+    _letter_index,
     _merge,
+    _pruned,
     binomial,
     clear_memos,  # re-exported: envelope.clear_memos stays importable
-    letter_monomial,
     memo_put,
     memo_table,
     multinomial,
@@ -133,13 +136,13 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     return memo_put(_CLOSED_MEMO, (x, y), out)
 
 
+def _closed_terms(x: Monomial, y: Monomial) -> dict:
+    return mul_u_closed(x, y).terms
+
+
 def mul_u(x: UElement, y: UElement) -> UElement:
     """Bilinear product on the enveloping algebra (closed-form kernel)."""
-    out: dict = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            _merge(out, mul_u_closed(mx, my).terms, cx * cy)
-    return UElement._make(out)
+    return UElement._make(_bilinear(x.terms, y.terms, _closed_terms))
 
 
 def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
@@ -173,8 +176,6 @@ _B1 = {
     (2, 3): {_E: 1},
     (3, 2): {_E: -1},
 }
-
-_LETTER_MONO = tuple(tuple(1 if t == v else 0 for t in range(5)) for v in range(5))
 
 
 def _leading(mono):
@@ -210,7 +211,7 @@ def _lmul_letter(f, x):
     factor or is an ordered prepend.
     """
     if x == ONE:
-        return {_LETTER_MONO[f]: 1}
+        return {_UNIT[f]: 1}
     g = _leading(x)
     if f <= g:
         return {_prepended(f, x): 1}
@@ -222,7 +223,7 @@ def _lmul_letter(f, x):
     out: dict = {}
     if y == ONE:
         # f * g with f > g: reorder plus the degree-1 bracket
-        out[_prepended(g, _LETTER_MONO[f])] = 1
+        out[_prepended(g, _UNIT[f])] = 1
         _merge(out, _B1.get((f, g), {}), 1)
     else:
         # g (f y)
@@ -240,7 +241,7 @@ def _lmul_letter(f, x):
         # + 1/3 [y,[f,g]]
         for w, coeff in _B1.get((f, g), {}).items():
             _merge(out, _bracket_mono(y, _leading(w)), third * coeff)
-    return memo_put(_LMUL_MEMO, key, out)
+    return memo_put(_LMUL_MEMO, key, _pruned(out))
 
 
 def _bracket_mono(x, f):
@@ -270,7 +271,7 @@ def _bracket_mono(x, f):
     # - 1/2 [y,[f,g]]
     for w, coeff in _B1.get((f, g), {}).items():
         _merge(out, _bracket_mono(y, _leading(w)), -half * coeff)
-    return memo_put(_BRACKET_MEMO, key, out)
+    return memo_put(_BRACKET_MEMO, key, _pruned(out))
 
 
 def _mul_mono(x, z):
@@ -299,7 +300,7 @@ def _mul_mono(x, z):
     # - xt [z, f]
     for mono, coeff in _bracket_mono(z, f).items():
         _merge(out, _mul_mono(xt, mono), -coeff)
-    return memo_put(_MUL_MEMO, key, out)
+    return memo_put(_MUL_MEMO, key, _pruned(out))
 
 
 def mul_u_oracle(x: UElement, y: UElement) -> UElement:
@@ -308,33 +309,22 @@ def mul_u_oracle(x: UElement, y: UElement) -> UElement:
     Independent of the closed form and of the operator realization; this is
     the route the others are checked against.
     """
-    out: dict = {}
     try:
-        for mx, cx in x.terms.items():
-            for my, cy in y.terms.items():
-                _merge(out, _mul_mono(mx, my), cx * cy)
+        return UElement._make(_bilinear(x.terms, y.terms, _mul_mono))
     except RecursionError as exc:
         raise ComputationError(
             "recursive product evaluation exhausted the recursion limit; "
             "use mul_u (closed form) for inputs this large"
         ) from exc
-    return UElement._make(out)
 
 
 def bracket_u_oracle(x: UElement, letter: str) -> UElement:
     """``[x, v]`` for a generator letter ``v``, by the bracket recursion."""
-    from .core import LETTER_INDEX
-
-    f = LETTER_INDEX.get(letter)
-    if f is None:
-        raise ValueError(f"unknown generator {letter!r}")
-    out: dict = {}
+    f = _letter_index(letter)
     try:
-        for mono, coeff in x.terms.items():
-            _merge(out, _bracket_mono(mono, f), coeff)
+        return UElement._make(_pruned(_bracket_dict(x.terms, f)))
     except RecursionError as exc:
         raise ComputationError("bracket recursion exhausted the recursion limit") from exc
-    return UElement._make(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ import pytest
 from malcev5.core import UElement, bracket_m, MalcevVector
 from malcev5.alternative import (
     AElement,
-    SpecialityReport,
     associator_a,
-    check_speciality,
     in_ideal_j,
     is_type1,
     is_type2,
@@ -236,13 +234,6 @@ def test_associator_value_needs_all_c_free():
 
 # ---------------------------------------------------------------------------
 # speciality
-
-
-def test_quotient_still_contains_base_algebra():
-    report = check_speciality()
-    assert isinstance(report, SpecialityReport)
-    assert report.passed
-    assert report.failures == ()
 
 
 def test_quotient_commutators_match_base_brackets():

@@ -11,6 +11,7 @@ import pytest
 
 from malcev5 import checks
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
+from malcev5.alternative import AElement
 from malcev5.core import UElement
 
 
@@ -162,4 +163,22 @@ def test_oracle_reports_a_planted_fault(monkeypatch):
     assert report.counterexample == (
         "product routes mismatch on (b, a): closed = ab - c; oracle = ab - c + e; "
         "operator = ab - c"
+    )
+
+
+def test_special_reports_a_planted_fault(monkeypatch):
+    # a * b = ab and b * a = ab - c, so [a, b] = c; the quotient product now
+    # says ab + e for a * b
+    real = checks.mul_a
+    a, b = AElement.from_letter("a"), AElement.from_letter("b")
+
+    def faulty(x, y):
+        out = real(x, y)
+        return out + AElement.from_letter("e") if (x, y) == (a, b) else out
+
+    monkeypatch.setattr(checks, "mul_a", faulty)
+    report = run_suite("special")
+    assert not report.passed
+    assert report.counterexample == (
+        "quotient commutator mismatch on (a, b): [x,y] = c + e; base bracket = c"
     )
