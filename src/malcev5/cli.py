@@ -15,7 +15,7 @@ import sys
 
 from .alternative import AElement, associator_a, mul_a, project
 from .checks import SUITE_NAMES, run_suite
-from .core import ComputationError, UElement, memo_limit
+from .core import ComputationError, UElement
 from .diffops import lmul, rho
 from .envelope import associator_u, bracket_u, mul_u
 from .exprs import element_json, parse_element
@@ -162,7 +162,6 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        memo_limit()  # a bad MALCEV5_MEMO_LIMIT is a usage error for every command
         return _dispatch(args)
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)

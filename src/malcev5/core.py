@@ -18,7 +18,6 @@ memo tables.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from numbers import Rational
 
@@ -255,16 +254,21 @@ def format_terms(sorted_items, render=format_monomial) -> str:
 # sparse linear combinations
 # ---------------------------------------------------------------------------
 
-def _pruned(acc: dict) -> dict:
+def _pruned(acc: dict, keys=None) -> dict:
     """Delete the zero coefficients of the term dict ``acc`` in place; return it.
 
     Accumulators sum without checking for zero and pass through here once,
     before they become an element or a memoized term dict: this is the one
     place that keeps the rule that zero coefficients are never stored.
+    When only some keys can have cancelled, ``keys`` names them and only
+    those are checked.
     """
-    if not all(acc.values()):  # one scan when nothing cancelled
-        for key in [key for key, coeff in acc.items() if not coeff]:
-            del acc[key]
+    if keys is None:
+        if all(acc.values()):  # one scan when nothing cancelled
+            return acc
+        keys = acc
+    for key in [key for key in keys if not acc[key]]:
+        del acc[key]
     return acc
 
 
@@ -354,7 +358,7 @@ class _SparseElement:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out.get(mono, 0) + coeff
-        return type(self)._make(_pruned(out))
+        return type(self)._make(_pruned(out, other.terms))  # only these can cancel
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -362,7 +366,7 @@ class _SparseElement:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out.get(mono, 0) - coeff
-        return type(self)._make(_pruned(out))
+        return type(self)._make(_pruned(out, other.terms))  # only these can cancel
 
     def __neg__(self):
         return type(self)._make({mono: -coeff for mono, coeff in self.terms.items()})
@@ -423,56 +427,18 @@ class UElement(_SparseElement):
 # memo tables
 # ---------------------------------------------------------------------------
 
-# Entries per memo table, None for unbounded; _UNREAD until memo_limit()
-# first runs.  A table that reaches the cap is simply cleared and refilled --
-# results never change, only how much gets remembered.
-_UNREAD = object()
-_MEMO_LIMIT = _UNREAD
 _MEMO_TABLES: list = []
 
 
-def memo_limit():
-    """The cap on entries per memo table set by ``MALCEV5_MEMO_LIMIT``.
-
-    Returns None for unbounded (unset or ``0``).  The variable is read on
-    first use rather than at import, so that the command line can report a
-    bad value like any other usage error; a value that is not a
-    nonnegative integer raises ``ValueError`` naming the variable and the
-    value.
-    """
-    global _MEMO_LIMIT
-    if _MEMO_LIMIT is _UNREAD:
-        raw = os.environ.get("MALCEV5_MEMO_LIMIT", "0")
-        try:
-            limit = int(raw)
-            if limit < 0:
-                raise ValueError
-        except ValueError:
-            raise ValueError(
-                "MALCEV5_MEMO_LIMIT must be a nonnegative integer "
-                f"(entries per memo table, 0 = unbounded), got {raw!r}"
-            ) from None
-        _MEMO_LIMIT = limit or None
-    return _MEMO_LIMIT
-
-
 def memo_table() -> dict:
-    """A new memo table, capped by the limit and emptied by :func:`clear_memos`.
+    """A new memo table, a plain dict that :func:`clear_memos` empties.
 
-    Lookups are plain ``dict.get``; insert with :func:`memo_put`.
+    Tables grow until cleared: lookups are ``dict.get`` and stores plain
+    assignments, so a table's size is its miss count.
     """
     table: dict = {}
     _MEMO_TABLES.append(table)
     return table
-
-
-def memo_put(table: dict, key, value):
-    """Store ``value`` under ``key`` in a memo table and return it."""
-    limit = _MEMO_LIMIT if _MEMO_LIMIT is not _UNREAD else memo_limit()
-    if limit is not None and len(table) >= limit:
-        table.clear()
-    table[key] = value
-    return value
 
 
 def clear_memos() -> None:

@@ -40,7 +40,6 @@ from .core import (
     _letter_index,
     _pruned,
     binomial,
-    memo_put,
     memo_table,
     multinomial,
 )
@@ -266,7 +265,8 @@ def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     for op, count in factors:
         for _ in range(count):
             acc = compose(acc, op)
-    return memo_put(_WORD_MEMO, key, acc)
+    _WORD_MEMO[key] = acc
+    return acc
 
 
 def lb_power_closed(u: int) -> Operator:
@@ -355,7 +355,8 @@ def l_of_monomial(mono) -> Operator:
                                             ),
                                         )
                                         out[word] = out.get(word, 0) + Fraction(num, den)
-    return memo_put(_L_MEMO, mono, Operator._make(_pruned(out)))
+    op = _L_MEMO[mono] = Operator._make(_pruned(out))
+    return op
 
 
 def l_of_monomial_via_factors(mono) -> Operator:

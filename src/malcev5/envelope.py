@@ -35,7 +35,6 @@ from .core import (
     _pruned,
     binomial,
     clear_memos,  # re-exported: envelope.clear_memos stays importable
-    memo_put,
     memo_table,
     multinomial,
 )
@@ -63,9 +62,11 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     if cached is not None:
         return cached
     if x == ONE:
-        return memo_put(_CLOSED_MEMO, (x, y), UElement._make({y: 1}))
+        out = _CLOSED_MEMO[(x, y)] = UElement._make({y: 1})
+        return out
     if y == ONE:
-        return memo_put(_CLOSED_MEMO, (x, y), UElement._make({x: 1}))
+        out = _CLOSED_MEMO[(x, y)] = UElement._make({x: 1})
+        return out
 
     i, j, k, l, m = x
     p, q, r, s, t = y
@@ -120,9 +121,8 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
                                 for theta in range(th_lo, th_hi + 1):
                                     da = j - beta - eps + l - alpha - eta - theta
                                     db = l - alpha - eta - theta
+                                    # never 0: the bounds keep 0 <= da <= p, 0 <= db <= q, theta <= r
                                     ff = perm(p, da) * perm(q, db) * perm(r, theta)
-                                    if not ff:
-                                        continue
                                     ml = multinomial(l, (alpha, gamma - delta, eta, theta))
                                     e3 = (j - eps - zeta) + db
                                     # K / (2^(alpha+gamma) 3^e3), an exact integer
@@ -130,10 +130,10 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
                                     num = sign * base_z * ml * ff * lam_sum * scale
                                     mono = (p - da + ma, q - db + eps, r - theta + zeta + k, ed, em)
                                     acc[mono] = acc.get(mono, 0) + num
-    out = UElement._make(
+    out = _CLOSED_MEMO[(x, y)] = UElement._make(
         {mono: Fraction(num, K) for mono, num in acc.items() if num}
     )
-    return memo_put(_CLOSED_MEMO, (x, y), out)
+    return out
 
 
 def _closed_terms(x: Monomial, y: Monomial) -> dict:
@@ -241,7 +241,8 @@ def _lmul_letter(f, x):
         # + 1/3 [y,[f,g]]
         for w, coeff in _B1.get((f, g), {}).items():
             _merge(out, _bracket_mono(y, _leading(w)), third * coeff)
-    return memo_put(_LMUL_MEMO, key, _pruned(out))
+    out = _LMUL_MEMO[key] = _pruned(out)
+    return out
 
 
 def _bracket_mono(x, f):
@@ -271,7 +272,8 @@ def _bracket_mono(x, f):
     # - 1/2 [y,[f,g]]
     for w, coeff in _B1.get((f, g), {}).items():
         _merge(out, _bracket_mono(y, _leading(w)), -half * coeff)
-    return memo_put(_BRACKET_MEMO, key, _pruned(out))
+    out = _BRACKET_MEMO[key] = _pruned(out)
+    return out
 
 
 def _mul_mono(x, z):
@@ -300,7 +302,8 @@ def _mul_mono(x, z):
     # - xt [z, f]
     for mono, coeff in _bracket_mono(z, f).items():
         _merge(out, _mul_mono(xt, mono), -coeff)
-    return memo_put(_MUL_MEMO, key, _pruned(out))
+    out = _MUL_MEMO[key] = _pruned(out)
+    return out
 
 
 def mul_u_oracle(x: UElement, y: UElement) -> UElement:

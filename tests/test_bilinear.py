@@ -2,7 +2,7 @@
 operator application, and the rule that zero coefficients are never stored.
 
 Exact cancellations check the rule on every result path; a small
-property-based test compares the product routes on random rational
+property-based test compares the three product routes on random rational
 elements and checks bilinearity with a scalar that is not a unit.
 """
 
@@ -14,6 +14,7 @@ from malcev5 import (
     Operator,
     UElement,
     compose,
+    l_of_monomial,
     mul_a,
     mul_u,
     mul_u_oracle,
@@ -86,6 +87,8 @@ scalars = coefficients.filter(lambda q: q not in (1, -1))
 def test_product_routes_and_bilinearity(x, y, z, s):
     xy = mul_u(x, y)
     assert xy == mul_u_oracle(x, y)
+    lx = sum((c * l_of_monomial(m) for m, c in x.terms.items()), Operator.zero())
+    assert lx.apply(y) == xy
     assert project(xy) == mul_a(project(x), project(y))
     assert_no_zero_stored(xy)
     assert mul_u(x + s * y, z) == mul_u(x, z) + s * mul_u(y, z)

@@ -1,15 +1,10 @@
 """Tests for the command-line interface (in-process, via main)."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from malcev5 import checks, cli
-from malcev5.checks import CheckReport
+from malcev5 import checks
 from malcev5.cli import main
 
 
@@ -180,27 +175,6 @@ def test_check_negative_parameters_exit_code(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "must be nonnegative" in err
-
-
-@pytest.mark.parametrize("argv", [("check", "special"), ("mul", "b", "a")], ids=["check", "mul"])
-def test_bad_memo_limit_exit_code(argv):
-    # read in a fresh process: the library reads the variable once
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, MALCEV5_MEMO_LIMIT="abc")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "malcev5.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: MALCEV5_MEMO_LIMIT must be a nonnegative integer "
-        "(entries per memo table, 0 = unbounded), got 'abc'"
-    ]
 
 
 def test_quotient_rejects_ideal_input(capsys):

@@ -1,15 +1,11 @@
 """Tests for the base Malcev algebra and the shared sparse-element machinery."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from malcev5 import core, diffops, envelope
+from malcev5 import diffops, envelope
 from malcev5.core import (
     LETTERS,
     ONE,
@@ -332,33 +328,3 @@ def test_clear_memos_empties_every_table():
     clear_memos()
     assert not any(memo_tables())
     assert envelope.clear_memos is clear_memos
-
-
-def test_memo_limit_caps_every_table(monkeypatch):
-    monkeypatch.setattr(core, "_MEMO_LIMIT", 2)
-    clear_memos()
-    try:
-        fill_memos()
-        assert all(1 <= len(table) <= 2 for table in memo_tables())
-    finally:
-        clear_memos()
-
-
-@pytest.mark.parametrize("value, ok", [("3", True), ("-1", False), ("abc", False)])
-def test_memo_limit_must_be_a_nonnegative_integer(value, ok):
-    src = str(Path(core.__file__).resolve().parents[1])
-    env = dict(os.environ, MALCEV5_MEMO_LIMIT=value)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import malcev5 as m; m.mul_u(m.UElement.one(), m.UElement.one())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    if ok:
-        assert proc.returncode == 0, proc.stderr
-    else:
-        assert proc.returncode != 0
-        assert "MALCEV5_MEMO_LIMIT must be a nonnegative integer" in proc.stderr
-        assert f"got {value!r}" in proc.stderr

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from malcev5.alternative import AElement
 from malcev5.core import UElement
@@ -190,3 +191,27 @@ def test_json_roundtrip_via_text():
         {tuple(item["exp"]): Fraction(item["coeff"]) for item in data}
     )
     assert rebuilt == x
+
+
+# ---------------------------------------------------------------------------
+# round trips of random elements
+
+exps = st.integers(min_value=0, max_value=12)
+coefficients = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+u_elements = st.dictionaries(
+    st.tuples(exps, exps, exps, exps, exps), coefficients, max_size=4
+).map(UElement)
+# the quotient basis: a^i b^j d^l e (type 1) and a^i b^j c^k d^l (type 2)
+a_monomials = st.tuples(exps, exps, st.just(0), exps, st.just(1)) | st.tuples(
+    exps, exps, exps, exps, st.just(0)
+)
+a_elements = st.dictionaries(a_monomials, coefficients, max_size=4).map(AElement)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(x=u_elements | a_elements)
+def test_text_and_json_round_trip(x):
+    cls = type(x)
+    assert parse_element(str(x), cls) == x
+    data = json.loads(element_json(x, with_type=cls is AElement))
+    assert cls((tuple(item["exp"]), Fraction(item["coeff"])) for item in data) == x
