@@ -21,6 +21,8 @@ from .core import (
     LETTERS,
     MalcevVector,
     UElement,
+    _merge,
+    _pruned,
     bracket_m,
     format_monomial,
     jacobian_m,
@@ -408,77 +410,98 @@ def _check_homomorphism(max_degree, samples, seed):
 # ---------------------------------------------------------------------------
 
 def _scan_type2_closed(limit=4):
-    """Exhaustive associator check on type-2 monomials with exponents < limit.
+    """Associators of type-2 monomials with exponents < limit, exhaustively.
 
-    Compares the associator of the shipped product ``_mul_a_mono`` with
-    :func:`type2_associator_closed` on every triple (16.7M at the default
-    limit), and yields one claim: the first triple that differs, or else
-    the last triple.  For speed the products are tabulated once, on
-    monomials interned to small int ids and with coefficients scaled by 6
-    to integers; a coefficient that is not a sixth stays an exact
-    ``Fraction``, so the scaling never rounds.  The claimed associator is
-    rebuilt from the scan's own accumulator, so a fault in the tabulated
-    products shows in it.
+    Shows that the associator of the shipped product ``_mul_a_mono``
+    equals :func:`type2_associator_closed` on every triple of the box
+    ``a^i b^j c^k d^l`` (16.7M triples at limit 4) without computing most
+    of them.  On type-2 times type-2 the product is H + C.  H, its type-2
+    part, is the Heisenberg product of the (a,b)-parts with the c- and
+    d-exponents added on.  C, its type-1 part, is zero unless the left
+    factor has no c and the right one has at most one.  Type-1 monomials
+    form a square-zero ideal, on which a type-2 monomial without c acts by
+    concatenation and one with c by zero.  One claim per case, in three
+    pieces (L = limit):
+
+    1. every pair the associators reach has the product H + C, or, with a
+       type-1 factor, the concatenation rule: box x box, and box times
+       every term of a box x box product on either side (1.59M pairs at
+       L = 4);
+    2. the associator of every triple of (a,b)-monomials in the box has
+       no type-2 part (L^6 triples);
+    3. the associator equals the closed form on every triple whose x has
+       no c and whose y and z have at most one c between them (3 L^9).
+
+    That proves the statement: given 1, the type-2 part of any associator
+    is that of the (a,b)-parts shifted, zero by 2, and its type-1 part is
+    a sum of C-terms and concatenations, each zero outside the triples of
+    3.  There the closed form is zero too, as some factor has a c.
     """
-    ids: dict = {}
-    keys: list = []
+    cells = list(product(range(limit), repeat=2))  # (a,b)- or (c,d)-exponents
+    box = [(i, j, k, l, 0) for i, j in cells for k, l in cells]
 
-    def sixths(terms):
-        out = []
-        for mono, c in terms.items():
-            mid = ids.get(mono)
-            if mid is None:
-                mid = ids[mono] = len(keys)
-                keys.append(mono)
-            c6 = 6 * c
-            out.append((mid, int(c6) if c6.denominator == 1 else c6))
-        return tuple(out)
+    def heisenberg(u, v):
+        # H on the (a,b)-parts u and v: the type-2 part of their product
+        prod = _mul_a_mono((*u, 0, 0, 0), (*v, 0, 0, 0))
+        return {m: coeff for m, coeff in prod.items() if not m[4]}
 
-    def claim(x, y, z, acc):
-        # acc holds 36 * (associator - closed form): each product of two
-        # 6-scaled coefficients carries 36
-        closed = type2_associator_closed(x, y, z)
-        via = AElement({keys[ok]: Fraction(oc, 36) for ok, oc in acc.items()}) + closed
-        return "type-2 associator", (x, y, z), {"via mul_a": via, "closed form": closed}
+    def pair(x, y, h):
+        prod = AElement._make(_mul_a_mono(x, y))
+        if x[4] or y[4]:
+            dead = x[4] and y[4] or x[2] or y[2]  # two type-1 factors, or a c
+            concat = AElement._make({} if dead else {tuple(a + b for a, b in zip(x, y)): 1})
+            return "type-1 concatenation", (x, y), {"product": prod, "concatenation": concat}
+        k, l = x[2] + y[2], x[3] + y[3]
+        hc = {(m[0], m[1], m[2] + k, m[3] + l, 0): coeff for m, coeff in h.items()}
+        if not x[2] and y[2] <= 1:
+            # the gate is open: C is the product's own type-1 part
+            hc.update((m, coeff) for m, coeff in prod.terms.items() if m[4])
+        return "H + C decomposition", (x, y), {"product": prod, "H + C": AElement._make(hc)}
 
-    monos = [(i, j, k, l, 0) for i, j, k, l in product(range(limit), repeat=4)]
-    n = len(monos)
-    P = [[sixths(_mul_a_mono(x, y)) for y in monos] for x in monos]
+    def associators(xs, yzs):
+        # ((x, y, z), (xy)z - x(yz)) through the shipped product, for every
+        # x in xs and every (y, zs) in yzs and z in zs
+        for y, zs in yzs:
+            xys = [(x, _mul_a_mono(x, y)) for x in xs]
+            for z in zs:
+                yz = _mul_a_mono(y, z)
+                for x, xy in xys:
+                    acc = {}
+                    for m, coeff in xy.items():
+                        _merge(acc, _mul_a_mono(m, z), coeff)
+                    for m, coeff in yz.items():
+                        _merge(acc, _mul_a_mono(x, m), -coeff)
+                    yield (x, y, z), AElement._make(_pruned(acc))
 
-    MZ: dict = {}
-    XM: dict = {}
-    for xi in range(n):
-        x = monos[xi]
-        Px = P[xi]
-        for yi in range(n):
-            t12 = Px[yi]
-            Py = P[yi]
-            y = monos[yi]
-            for zi in range(n):
-                z = monos[zi]
-                acc = {}
-                for mk, c in t12:
-                    key = (mk, zi)
-                    lst = MZ.get(key)
-                    if lst is None:
-                        lst = MZ[key] = sixths(_mul_a_mono(keys[mk], z))
-                    for ok, oc in lst:
-                        acc[ok] = acc.get(ok, 0) + c * oc
-                for mk, c in Py[zi]:
-                    key = (xi, mk)
-                    lst = XM.get(key)
-                    if lst is None:
-                        lst = XM[key] = sixths(_mul_a_mono(x, keys[mk]))
-                    for ok, oc in lst:
-                        acc[ok] = acc.get(ok, 0) - c * oc
-                # the closed form vanishes unless no factor carries a c
-                if not (x[2] or y[2] or z[2]):
-                    for ok, oc in sixths(type2_associator_closed(x, y, z).terms):
-                        acc[ok] = acc.get(ok, 0) - 6 * oc
-                if any(acc.values()):
-                    yield claim(x, y, z, acc)
-                    return
-    yield claim(x, y, z, acc)
+    # 1: every product the associators reach, grouped by the (a,b)-parts
+    reached = {m for x in box for y in box for m in _mul_a_mono(x, y)}
+    reached = sorted(reached.difference(box), key=term_key)
+    for x in box + reached:
+        for p, q in cells:
+            h = heisenberg(x[:2], (p, q))
+            for r, s in cells:
+                yield pair(x, (p, q, r, s, 0), h)
+    for y in reached:
+        for i, j in cells:
+            h = heisenberg((i, j), y[:2])
+            for k, l in cells:
+                yield pair((i, j, k, l, 0), y, h)
+
+    # 2: H is associative on the (a,b)-parts
+    ab = [(i, j, 0, 0, 0) for i, j in cells]
+    for case, assoc in associators(ab, [(y, ab) for y in ab]):
+        h = {m: coeff for m, coeff in assoc.terms.items() if not m[4]}
+        yield "Heisenberg associativity", case, {
+            "type-2 part": AElement._make(h), "zero": AElement.zero()
+        }
+
+    # 3: the closed form where a correction can fire
+    free = [x for x in box if not x[2]]
+    light = [(y, [z for z in box if y[2] + z[2] <= 1]) for y in box if y[2] <= 1]
+    for case, assoc in associators(free, light):
+        yield "type-2 associator", case, {
+            "via mul_a": assoc, "closed form": type2_associator_closed(*case)
+        }
 
 
 def _check_alternative(max_degree, samples, seed):

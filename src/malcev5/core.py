@@ -123,92 +123,6 @@ def multinomial(n: int, parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the base algebra
-# ---------------------------------------------------------------------------
-
-class MalcevVector:
-    """A vector of the base algebra: rational coordinates over a, b, c, d, e."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(coords)
-        if len(coords) != 5:
-            raise ValueError(f"expected 5 coordinates, got {len(coords)}")
-        for v in coords:
-            if not isinstance(v, Rational):
-                raise TypeError(f"coordinates must be rational, got {v!r}")
-        self.coords = coords
-
-    @classmethod
-    def basis(cls, letter: str) -> "MalcevVector":
-        return cls(_UNIT[_letter_index(letter)])
-
-    @classmethod
-    def zero(cls) -> "MalcevVector":
-        return cls((0, 0, 0, 0, 0))
-
-    def u_element(self) -> "UElement":
-        """The image of this vector under the canonical degree-1 embedding."""
-        return UElement._make(_pruned(dict(zip(_UNIT, self.coords))))
-
-    def __add__(self, other):
-        if not isinstance(other, MalcevVector):
-            return NotImplemented
-        return MalcevVector(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        if not isinstance(other, MalcevVector):
-            return NotImplemented
-        return MalcevVector(tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return MalcevVector(tuple(-x for x in self.coords))
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, Rational):
-            return NotImplemented
-        return MalcevVector(tuple(scalar * x for x in self.coords))
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, MalcevVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __repr__(self):
-        parts = [f"{coeff!s}*{LETTERS[v]}" for v, coeff in enumerate(self.coords) if coeff]
-        return "MalcevVector<%s>" % (" + ".join(parts) if parts else "0")
-
-
-def bracket_m(x: MalcevVector, y: MalcevVector) -> MalcevVector:
-    """Bracket of the base algebra: bilinear extension of [a,b]=c, [c,d]=e."""
-    xa, xb, xc, xd, _ = x.coords
-    ya, yb, yc, yd, _ = y.coords
-    return MalcevVector((0, 0, xa * yb - xb * ya, 0, xc * yd - xd * yc))
-
-
-def jacobian_m(x: MalcevVector, y: MalcevVector, z: MalcevVector) -> MalcevVector:
-    """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] on the base algebra.
-
-    Not identically zero -- J(a,b,d) = e -- which is exactly why the
-    enveloping algebra below is nonassociative.
-    """
-    return (
-        bracket_m(bracket_m(x, y), z)
-        + bracket_m(bracket_m(y, z), x)
-        + bracket_m(bracket_m(z, x), y)
-    )
-
-
-# ---------------------------------------------------------------------------
 # canonical text form
 # ---------------------------------------------------------------------------
 
@@ -421,6 +335,67 @@ class UElement(_SparseElement):
         if not self.terms:
             return -1
         return max(sum(mono) for mono in self.terms)
+
+
+# ---------------------------------------------------------------------------
+# the base algebra
+# ---------------------------------------------------------------------------
+
+class MalcevVector(_SparseElement):
+    """A vector of the base algebra: rational coordinates over a, b, c, d, e.
+
+    The terms are keyed by letter index, so the linear structure is the
+    shared one; ``coords`` gives all five coordinates as a tuple.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coords):
+        coords = tuple(coords)
+        if len(coords) != 5:
+            raise ValueError(f"expected 5 coordinates, got {len(coords)}")
+        for v in coords:
+            if not isinstance(v, Rational):
+                raise TypeError(f"coordinates must be rational, got {v!r}")
+        self.terms = {v: coeff for v, coeff in enumerate(coords) if coeff}
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(self.terms.get(v, 0) for v in range(5))
+
+    @classmethod
+    def basis(cls, letter: str) -> "MalcevVector":
+        return cls._make({_letter_index(letter): 1})
+
+    def u_element(self) -> "UElement":
+        """The image of this vector under the canonical degree-1 embedding."""
+        return UElement._make({_UNIT[v]: coeff for v, coeff in sorted(self.terms.items())})
+
+    def __repr__(self):
+        parts = [f"{coeff!s}*{LETTERS[v]}" for v, coeff in sorted(self.terms.items())]
+        return "MalcevVector<%s>" % (" + ".join(parts) if parts else "0")
+
+    __str__ = __repr__
+
+
+def bracket_m(x: MalcevVector, y: MalcevVector) -> MalcevVector:
+    """Bracket of the base algebra: bilinear extension of [a,b]=c, [c,d]=e."""
+    xa, xb, xc, xd, _ = x.coords
+    ya, yb, yc, yd, _ = y.coords
+    return MalcevVector((0, 0, xa * yb - xb * ya, 0, xc * yd - xd * yc))
+
+
+def jacobian_m(x: MalcevVector, y: MalcevVector, z: MalcevVector) -> MalcevVector:
+    """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] on the base algebra.
+
+    Not identically zero -- J(a,b,d) = e -- which is exactly why the
+    enveloping algebra below is nonassociative.
+    """
+    return (
+        bracket_m(bracket_m(x, y), z)
+        + bracket_m(bracket_m(y, z), x)
+        + bracket_m(bracket_m(z, x), y)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ acceptance tests run them at their contractual sizes.  Here we only make
 sure every suite runs, passes, and reports deterministically at toy sizes.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from malcev5 import checks
+from malcev5 import alternative, checks
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
-from malcev5.alternative import AElement
+from malcev5.alternative import AElement, associator_a, type2_associator_closed
 from malcev5.core import UElement
 
 
@@ -90,24 +93,40 @@ def test_run_all_order_and_passing():
 
 _A, _B, _D = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)
 _BD, _E = (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)
+_AB, _AC, _BCD, _C2D = (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 1, 1, 0), (0, 0, 2, 1, 0)
 
 
-@pytest.mark.parametrize("delta", [Fraction(1, 6), Fraction(1, 7)], ids=["sixth", "seventh"])
-def test_type2_scan_catches_faulty_product(monkeypatch, delta):
-    # bd * a = abd - cd + 1/2 e; shift its type-1 term.  6 * (1/2 + 1/7) is not
-    # an integer, and truncating it would give back the right value 3.
+@pytest.mark.parametrize(
+    "pair, change, found",
+    [
+        # bd * a = abd - cd + 1/2 e; shift its type-1 term.  6 * (1/2 + 1/7) is not
+        # an integer, and truncating it would give back the right value 3.
+        ((_BD, _A), lambda out: {**out, _E: out[_E] + Fraction(1, 6)},
+         "type-2 associator mismatch"),
+        ((_BD, _A), lambda out: {**out, _E: out[_E] + Fraction(1, 7)},
+         "type-2 associator mismatch"),
+        # ac * b = abc: no correction fires when the left factor has a c
+        ((_AC, _B), lambda out: {**out, _E: Fraction(1, 6)},
+         "H + C decomposition mismatch on (ac, b): product = abc + 1/6 e; H + C = abc"),
+        # bcd * a = abcd - c^2d, which is b * a = ab - c shifted by cd
+        ((_BCD, _A), lambda out: {**out, _C2D: 2 * out[_C2D]},
+         "H + C decomposition mismatch on (bcd, a): product = abcd - 2 c^2d; H + C = abcd - c^2d"),
+        # e * ab = abe
+        ((_E, _AB), lambda out: {},
+         "type-1 concatenation mismatch on (e, ab): product = 0; concatenation = abe"),
+    ],
+    ids=["sixth", "seventh", "gate", "heisenberg", "type-1"],
+)
+def test_type2_scan_catches_faulty_product(monkeypatch, pair, change, found):
     real = checks._mul_a_mono
 
     def faulty(x, y):
         out = real(x, y)
-        if (x, y) == (_BD, _A):
-            out = dict(out)
-            out[_E] += delta
-        return out
+        return change(out) if (x, y) == pair else out
 
     monkeypatch.setattr(checks, "_mul_a_mono", faulty)
-    found = checks._compare(checks._scan_type2_closed(limit=3))
-    assert found is not None and found.startswith("type-2 associator mismatch")
+    text = checks._compare(checks._scan_type2_closed(limit=3))
+    assert text is not None and text.startswith(found)
 
 
 def test_type2_scan_catches_faulty_closed_form(monkeypatch):
@@ -120,6 +139,67 @@ def test_type2_scan_catches_faulty_closed_form(monkeypatch):
     monkeypatch.setattr(checks, "type2_associator_closed", faulty)
     found = checks._compare(checks._scan_type2_closed(limit=3))
     assert found is not None and found.startswith("type-2 associator mismatch on (a, b, d)")
+
+
+# the pairs the scan reaches at limit 2: box x box, and box times every
+# term of a box x box product on either side
+_BOX2 = [(i, j, k, l, 0) for i, j, k, l in product(range(2), repeat=4)]
+_REACHED2 = sorted(
+    {m for x in _BOX2 for y in _BOX2 for m in alternative._mul_a_mono(x, y)} - set(_BOX2)
+)
+_PAIRS2 = (
+    [(x, y) for x in _BOX2 for y in _BOX2]
+    + [(m, z) for m in _REACHED2 for z in _BOX2]
+    + [(x, m) for x in _BOX2 for m in _REACHED2]
+)
+
+
+def test_type2_scan_counts_every_piece():
+    counts = Counter(what for what, _, _ in checks._scan_type2_closed(limit=2))
+    type1 = sum(1 for x, y in _PAIRS2 if x[4] or y[4])
+    assert counts == {
+        "H + C decomposition": len(_PAIRS2) - type1,
+        "type-1 concatenation": type1,
+        "Heisenberg associativity": 2**6,
+        "type-2 associator": 3 * 2**9,
+    }
+
+
+_QUOTIENT2 = [m for m in product(range(3), repeat=5) if m[4] < 2 and not (m[4] and m[2])]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    pair=st.sampled_from(_PAIRS2),
+    term=st.integers(min_value=0),
+    extra=st.sampled_from(_QUOTIENT2),
+    delta=st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+    recoefficient=st.booleans(),
+)
+def test_type2_scan_is_sound(pair, term, extra, delta, recoefficient):
+    # plant a changed coefficient or an extra term at one reached pair: when
+    # brute force over all 4096 triples sees a wrong associator, so does the scan
+    real = alternative._mul_a_mono
+
+    def faulty(x, y):
+        out = real(x, y)
+        if (x, y) != pair:
+            return out
+        out = dict(out)
+        key = sorted(out)[term % len(out)] if recoefficient and out else extra
+        out[key] = out.get(key, 0) + delta
+        return {m: c for m, c in out.items() if c}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alternative, "_mul_a_mono", faulty)
+        mp.setattr(checks, "_mul_a_mono", faulty)
+        brute = any(
+            associator_a(*(AElement.from_monomial(m) for m in triple))
+            != type2_associator_closed(*triple)
+            for triple in product(_BOX2, repeat=3)
+        )
+        scan = checks._compare(checks._scan_type2_closed(limit=2))
+    assert scan is not None or not brute
 
 
 # ---------------------------------------------------------------------------
