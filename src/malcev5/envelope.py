@@ -36,10 +36,12 @@ from .core import (
     binomial,
     clear_memos,  # re-exported: envelope.clear_memos stays importable
     memo_table,
-    multinomial,
 )
 
 _CLOSED_MEMO = memo_table()
+_LAM_ROWS = memo_table()
+_THETA_ROWS = memo_table()
+_PERM_ROWS = memo_table()
 _LMUL_MEMO = memo_table()
 _BRACKET_MEMO = memo_table()
 _MUL_MEMO = memo_table()
@@ -49,14 +51,38 @@ _MUL_MEMO = memo_table()
 # closed-form route
 # ---------------------------------------------------------------------------
 
+def _lam_row(rem_j: int, s: int, y_cap: int) -> list:
+    # by eta: the contraction sum over lam, times C(y_cap, eta) (-3)^eta
+    comb, fact, perm = math.comb, math.factorial, math.perm
+    return [
+        comb(y_cap, eta) * (-3) ** eta * sum(
+            fact(lam) * comb(rem_j, lam) * comb(eta, lam) * perm(s, rem_j - lam)
+            for lam in range(max(0, rem_j - s), min(eta, rem_j) + 1)
+        )
+        for eta in range(y_cap + 1)
+    ]
+
+
 def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     """Product of two basis monomials from the universal structure constants.
 
-    The inner loops run over exactly the index tuples whose combinatorial
-    weight is nonzero (all bounds are pruned, including through the falling
-    factorials applied to the right factor), and accumulate integer
-    numerators over the common denominator ``2^(l+i) 3^(j+l)``; the result
-    is reduced once per output monomial.
+    The nine indices run over exactly the tuples whose weight is nonzero
+    (every bound is pruned, including through the falling factorials applied
+    to the right factor).  Each factor enters at the loop level where it is
+    fixed: the multinomials of ``j`` and ``l`` split into one binomial per
+    index (``alpha! C(j, alpha) C(l, alpha)`` per alpha), and each power of
+    2, 3 and -1 follows its index.  Memo tables shared by all calls and
+    filled on first use hold the rest:
+
+    * ``_LAM_ROWS[(rem_j, s, y_cap)]``, once per ``(eps, zeta)``: by eta,
+      the contraction sum over lam times ``C(y_cap, eta) (-3)^eta``;
+    * ``_THETA_ROWS[(rest, w, q, r)]``, once per eta: by theta,
+      ``C(rest, theta) perm(r, theta) perm(q, w-theta) 3^theta``;
+    * ``_PERM_ROWS[p]``, once per call: ``perm(p, da)`` by ``da``.
+
+    The output monomial is a base tuple shifted by theta (a and b by
+    ``+theta``, c by ``-theta``).  Integer numerators accumulate over
+    ``2^(l+i) 3^(j+l)``; the result is reduced once per output monomial.
     """
     cached = _CLOSED_MEMO.get((x, y))
     if cached is not None:
@@ -70,66 +96,58 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
 
     i, j, k, l, m = x
     p, q, r, s, t = y
-    fact = math.factorial
-    perm = math.perm
-    pow3_all = 3 ** (j + l)
-    K = (2 ** (l + i)) * pow3_all
+    comb, perm = math.comb, math.perm
+    # pp[d] = perm(p, d); rows are never empty, so only a miss is falsy
+    pp = _PERM_ROWS.get(p) or _PERM_ROWS.setdefault(p, [perm(p, d) for d in range(p + 1)])
+    K = (2 ** (l + i)) * 3 ** (j + l)
     acc: dict = {}
 
-    for alpha in range(l + 1):
-        f_alpha = fact(alpha)
+    for alpha in range(min(j, l) + 1):
+        la = l - alpha
+        w_a = math.factorial(alpha) * comb(j, alpha) * comb(l, alpha) * 3 ** alpha
         for beta in range(i + 1):
-            base_b = f_alpha * fact(beta) * binomial(i, beta)
-            ma = i - beta  # M_a exponent of the word
+            w_b = w_a * perm(i, beta)
             for gamma in range(max(0, beta - alpha), beta + 1):
-                base_g = base_b * binomial(alpha, beta - gamma)
-                k2 = 2 ** (l + i - alpha - gamma)  # K / 2^(alpha+gamma)
+                sign = -1 if (beta + la - gamma) & 1 else 1
+                w_g = sign * w_b * comb(alpha, beta - gamma) * 2 ** (l + i - alpha - gamma)
                 for delta in range(max(0, alpha + gamma - l), min(gamma, j - alpha) + 1):
                     u_cap = j - alpha - delta
-                    y_cap = l - alpha - gamma + delta
+                    gd = gamma - delta
+                    y_cap = la - gd
+                    w_d = w_g * comb(j - alpha, delta) * comb(la, gd)
                     for eps in range(u_cap + 1):
+                        c0 = j - beta - eps
+                        cap = min(q, p - c0)  # theta >= w - cap keeps db <= q, da <= p
+                        if gd > cap:
+                            continue
+                        x_lo = la - cap  # theta >= x_lo - eta
+                        w_e = w_d * comb(u_cap, eps) * 3 ** eps
+                        a_base = p - c0 + i - beta - la
+                        b_base = q + eps - la
                         for zeta in range(u_cap - eps + 1):
-                            mj = multinomial(j, (alpha, delta, eps, zeta))
                             rem_j = j - alpha - eps - zeta
-                            base_z = base_g * mj
-                            e_base = rem_j + l + m + t  # e-exp before -eta
-                            for eta in range(y_cap + 1):
-                                th_lo = max(
-                                    0,
-                                    l - alpha - eta - q,
-                                    j - beta - eps + l - alpha - eta - p,
-                                )
-                                th_hi = min(y_cap - eta, r)
-                                if th_lo > th_hi:
-                                    continue
-                                lam_lo = max(0, rem_j - s)
-                                lam_hi = min(eta, rem_j)
-                                if lam_lo > lam_hi:
-                                    continue
-                                # the output monomial does not depend on the
-                                # contraction index, so its sum collapses here
-                                lam_sum = sum(
-                                    fact(lam)
-                                    * binomial(rem_j, lam)
-                                    * binomial(eta, lam)
-                                    * perm(s, rem_j - lam)
-                                    for lam in range(lam_lo, lam_hi + 1)
-                                )
-                                sign = -1 if (beta + zeta + l - alpha - gamma - eta) & 1 else 1
+                            key = (rem_j, s, y_cap)
+                            lams = _LAM_ROWS.get(key) or _LAM_ROWS.setdefault(key, _lam_row(*key))
+                            w_z = w_e * comb(u_cap - eps, zeta) * (-3) ** zeta
+                            c_base = r + zeta + k
+                            for eta in range(max(0, rem_j - s, x_lo - r), y_cap + 1):
+                                w = la - eta
+                                rest = y_cap - eta
+                                key = (rest, w, q, r)
+                                h_row = _THETA_ROWS.get(key) or _THETA_ROWS.setdefault(key, [
+                                    comb(rest, th) * perm(r, th) * perm(q, w - th) * 3 ** th
+                                    for th in range(min(rest, r) + 1)
+                                ])
+                                w_n = w_z * lams[eta]
+                                da = c0 + w  # a-exponent taken from y at theta = 0
+                                a0 = a_base + eta
+                                b0 = b_base + eta
                                 ed = s - rem_j + eta
-                                em = e_base - eta
-                                for theta in range(th_lo, th_hi + 1):
-                                    da = j - beta - eps + l - alpha - eta - theta
-                                    db = l - alpha - eta - theta
-                                    # never 0: the bounds keep 0 <= da <= p, 0 <= db <= q, theta <= r
-                                    ff = perm(p, da) * perm(q, db) * perm(r, theta)
-                                    ml = multinomial(l, (alpha, gamma - delta, eta, theta))
-                                    e3 = (j - eps - zeta) + db
-                                    # K / (2^(alpha+gamma) 3^e3), an exact integer
-                                    scale = k2 * 3 ** (j + l - e3)
-                                    num = sign * base_z * ml * ff * lam_sum * scale
-                                    mono = (p - da + ma, q - db + eps, r - theta + zeta + k, ed, em)
-                                    acc[mono] = acc.get(mono, 0) + num
+                                em = rem_j + l + m + t - eta
+                                th_lo = x_lo - eta if x_lo > eta else 0
+                                for th in range(th_lo, (rest if rest < r else r) + 1):
+                                    mono = (a0 + th, b0 + th, c_base - th, ed, em)
+                                    acc[mono] = acc.get(mono, 0) + w_n * h_row[th] * pp[da - th]
     out = _CLOSED_MEMO[(x, y)] = UElement._make(
         {mono: Fraction(num, K) for mono, num in acc.items() if num}
     )

@@ -7,6 +7,7 @@ Grammar (whitespace allowed between tokens)::
     rational :=  uint ['/' uint]
     monomial :=  factor ( ['*'] factor )*
     factor   :=  letter ['^' uint]
+    uint     :=  ('0'..'9')+
 
 Letters are ``a..e`` and must appear in strictly increasing order within a
 monomial: ``ba`` is rejected rather than silently reordered, because the
@@ -24,6 +25,8 @@ from .core import LETTER_INDEX, UElement
 
 _MINUS = {"-", "−"}
 _SIGNS = {"+"} | _MINUS
+# ASCII only: str.isdigit() also admits "²", which int() rejects
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -52,7 +55,7 @@ class _Parser:
 
     def uint(self, what: str) -> int:
         start = self.i
-        while self.i < self.n and self.text[self.i].isdigit():
+        while self.i < self.n and self.text[self.i] in _DIGITS:
             self.i += 1
         if self.i == start:
             self.fail(f"expected {what}", start)
@@ -107,7 +110,7 @@ class _Parser:
 
     def term(self):
         ch = self.peek()
-        if ch.isdigit():
+        if ch in _DIGITS:
             coeff = self.rational()
             save = self.i
             self.skip_ws()

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 import pytest
 
+from malcev5 import core, envelope
 from malcev5.core import ComputationError, MalcevVector, UElement, bracket_m
+from malcev5.diffops import l_of_monomial
 from malcev5.envelope import (
     associator_u,
     bracket_u,
@@ -160,6 +162,38 @@ def test_oracle_recursion_overflow_reports():
     finally:
         sys.setrecursionlimit(limit)
         clear_memos()
+
+
+# degree-9 to 11 pairs shaped like perfbench's high_degree workload: the
+# (a, b, d) exponents are a permutation of (2, 3, 4) or (3, 3, 3), some with
+# one c or e; beyond the degree 5 that ``check oracle`` reaches
+HIGH_DEGREE_PAIRS = [
+    ((2, 3, 0, 4, 0), (3, 3, 0, 3, 0)),
+    ((3, 3, 0, 3, 0), (4, 2, 1, 3, 0)),
+    ((4, 3, 0, 2, 1), (2, 4, 0, 3, 0)),
+    ((3, 4, 1, 2, 0), (3, 2, 0, 4, 1)),
+    ((2, 4, 0, 3, 1), (3, 3, 1, 3, 0)),
+    ((3, 3, 1, 3, 0), (2, 3, 0, 4, 0)),
+    ((4, 2, 0, 3, 0), (3, 4, 0, 2, 0)),
+    ((3, 2, 0, 4, 0), (4, 3, 1, 2, 0)),
+    ((3, 3, 0, 3, 1), (3, 3, 0, 3, 0)),
+    ((2, 3, 1, 4, 0), (4, 2, 0, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("x, y", HIGH_DEGREE_PAIRS)
+def test_closed_form_agrees_with_operators_at_high_degree(x, y):
+    assert l_of_monomial(x).apply(UElement({y: 1})) == mul_u_closed(x, y)
+
+
+def test_clear_memos_empties_kernel_tables():
+    x = U((3, 3, 0, 3, 0))
+    associator_u(x, x, x)
+    kernel_tables = (envelope._LAM_ROWS, envelope._THETA_ROWS, envelope._PERM_ROWS)
+    assert all(kernel_tables)
+    core.clear_memos()
+    assert all(any(t is table for table in core._MEMO_TABLES) for t in kernel_tables)
+    assert not any(core._MEMO_TABLES)
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,65 @@ def test_text_and_json_round_trip(x):
     assert parse_element(str(x), cls) == x
     data = json.loads(element_json(x, with_type=cls is AElement))
     assert cls((tuple(item["exp"]), Fraction(item["coeff"])) for item in data) == x
+
+
+# ---------------------------------------------------------------------------
+# mutated valid text: parsed and printed back, or a ParseError
+
+_SEED_TEXTS = (
+    "2/3 a^2bd - 1/2 c + e",
+    "−3*b*c^2 + 7",
+    "ab^10d^3 − 5/4 e^2",
+    " a * b ^ 2 + 1 / 6 ",
+)
+# the grammar's own characters, plus letters, digits and spaces it rejects
+_JUNK = "abcdefz0123456789+-−*/^. \t²١é"
+edits = st.lists(
+    st.tuples(st.sampled_from("ids"), st.integers(0, 60), st.sampled_from(_JUNK)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edit(text, op, at, ch):
+    # insert a character, delete one, or swap two neighbours
+    n = len(text)
+    if op == "i":
+        k = at % (n + 1)
+        return text[:k] + ch + text[k:]
+    if op == "d" and n:
+        k = at % n
+        return text[:k] + text[k + 1:]
+    if op == "s" and n > 1:
+        k = at % (n - 1)
+        return text[:k] + text[k + 1] + text[k] + text[k + 2:]
+    return text
+
+
+def _neighbours(text):
+    # every text one edit away: random edits alone rarely reach the end of
+    # the input or put a junk character right after a digit
+    for k in range(len(text) + 1):
+        for ch in _JUNK:
+            yield _edit(text, "i", k, ch)
+        yield _edit(text, "d", k, "")
+        yield _edit(text, "s", k, "")
+
+
+def _check_parse(text):
+    try:
+        x = parse_element(text)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text.encode("utf-8")), text
+    else:
+        assert parse_element(str(x)) == x, text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(_SEED_TEXTS) | u_elements.map(str), edits=edits)
+def test_parse_malformed_input(base, edits):
+    text = base
+    for edit in edits:
+        text = _edit(text, *edit)
+    for mutant in (text, *_neighbours(text)):
+        _check_parse(mutant)
