@@ -59,7 +59,10 @@ class _Parser:
             self.i += 1
         if self.i == start:
             self.fail(f"expected {what}", start)
-        return int(self.text[start:self.i])
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.fail(f"too many digits in {what}", start)
 
     def rational(self) -> Fraction:
         num = self.uint("a number")

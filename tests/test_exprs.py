@@ -1,6 +1,7 @@
 """Tests for parsing canonical element text and the JSON form."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,15 @@ def test_empty_input():
 def test_bad_exponent():
     bad("a^", 2)
     bad("a^-2", 2)
+
+
+def test_too_many_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    msg = bad("1" * (limit + 1) + " a", 0)
+    assert "too many digits" in msg
+    bad("a^" + "2" * (limit + 1), 2)
 
 
 def test_zero_denominator():
