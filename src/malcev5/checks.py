@@ -420,22 +420,23 @@ def _scan_type2_closed(limit=4):
     d-exponents added on.  C, its type-1 part, is zero unless the left
     factor has no c and the right one has at most one.  Type-1 monomials
     form a square-zero ideal, on which a type-2 monomial without c acts by
-    concatenation and one with c by zero.  One claim per case, in three
+    concatenation and one with c by zero.  One claim per case, in two
     pieces (L = limit):
 
     1. every pair the associators reach has the product H + C, or, with a
        type-1 factor, the concatenation rule: box x box, and box times
        every term of a box x box product on either side (1.59M pairs at
        L = 4);
-    2. the associator of every triple of (a,b)-monomials in the box has
-       no type-2 part (L^6 triples);
-    3. the associator equals the closed form on every triple whose x has
+    2. the associator equals the closed form on every triple whose x has
        no c and whose y and z have at most one c between them (3 L^9).
 
     That proves the statement: given 1, the type-2 part of any associator
-    is that of the (a,b)-parts shifted, zero by 2, and its type-1 part is
-    a sum of C-terms and concatenations, each zero outside the triples of
-    3.  There the closed form is zero too, as some factor has a c.
+    is that of the (a,b)-parts shifted, and its type-1 part is a sum of
+    C-terms and concatenations, each zero outside the triples of 2.  Every
+    triple of (a,b)-monomials has no c, so it is among the triples of 2,
+    where the closed form has no type-2 part: H is associative, and the
+    type-2 part is zero.  Outside the triples of 2 the closed form is zero
+    too, as some factor has a c.
     """
     cells = list(product(range(limit), repeat=2))  # (a,b)- or (c,d)-exponents
     box = [(i, j, k, l, 0) for i, j in cells for k, l in cells]
@@ -458,21 +459,6 @@ def _scan_type2_closed(limit=4):
             hc.update((m, coeff) for m, coeff in prod.terms.items() if m[4])
         return "H + C decomposition", (x, y), {"product": prod, "H + C": AElement._make(hc)}
 
-    def associators(xs, yzs):
-        # ((x, y, z), (xy)z - x(yz)) through the shipped product, for every
-        # x in xs and every (y, zs) in yzs and z in zs
-        for y, zs in yzs:
-            xys = [(x, _mul_a_mono(x, y)) for x in xs]
-            for z in zs:
-                yz = _mul_a_mono(y, z)
-                for x, xy in xys:
-                    acc = {}
-                    for m, coeff in xy.items():
-                        _merge(acc, _mul_a_mono(m, z), coeff)
-                    for m, coeff in yz.items():
-                        _merge(acc, _mul_a_mono(x, m), -coeff)
-                    yield (x, y, z), AElement._make(_pruned(acc))
-
     # 1: every product the associators reach, grouped by the (a,b)-parts
     reached = {m for x in box for y in box for m in _mul_a_mono(x, y)}
     reached = sorted(reached.difference(box), key=term_key)
@@ -487,21 +473,23 @@ def _scan_type2_closed(limit=4):
             for k, l in cells:
                 yield pair((i, j, k, l, 0), y, h)
 
-    # 2: H is associative on the (a,b)-parts
-    ab = [(i, j, 0, 0, 0) for i, j in cells]
-    for case, assoc in associators(ab, [(y, ab) for y in ab]):
-        h = {m: coeff for m, coeff in assoc.terms.items() if not m[4]}
-        yield "Heisenberg associativity", case, {
-            "type-2 part": AElement._make(h), "zero": AElement.zero()
-        }
-
-    # 3: the closed form where a correction can fire
+    # 2: (xy)z - x(yz) through the shipped product against the closed form,
+    # where a correction can fire
     free = [x for x in box if not x[2]]
-    light = [(y, [z for z in box if y[2] + z[2] <= 1]) for y in box if y[2] <= 1]
-    for case, assoc in associators(free, light):
-        yield "type-2 associator", case, {
-            "via mul_a": assoc, "closed form": type2_associator_closed(*case)
-        }
+    for y in (y for y in box if y[2] <= 1):
+        xys = [(x, _mul_a_mono(x, y)) for x in free]
+        for z in (z for z in box if y[2] + z[2] <= 1):
+            yz = _mul_a_mono(y, z)
+            for x, xy in xys:
+                acc = {}
+                for m, coeff in xy.items():
+                    _merge(acc, _mul_a_mono(m, z), coeff)
+                for m, coeff in yz.items():
+                    _merge(acc, _mul_a_mono(x, m), -coeff)
+                yield "type-2 associator", (x, y, z), {
+                    "via mul_a": AElement._make(_pruned(acc)),
+                    "closed form": type2_associator_closed(x, y, z),
+                }
 
 
 def _check_alternative(max_degree, samples, seed):

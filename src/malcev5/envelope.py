@@ -2,9 +2,9 @@
 
 Two independent multiplication routes live here and must agree everywhere:
 
-* :func:`mul_u_closed` -- the closed structure-constant kernel, a nine-index
-  integer sum obtained by letting the closed left-multiplication operator of
-  :mod:`malcev5.diffops` act on a basis monomial;
+* :func:`mul_u_closed` -- the closed structure-constant kernel, a five-index
+  integer sum: the left-multiplication operator of :mod:`malcev5.diffops` on
+  a basis monomial, with four of its nine index sums done in closed form;
 * :func:`mul_u_oracle` -- a recursive evaluator that knows nothing about
   operators or closed sums.  It reduces every product to the degree-lowering
   identities forced by the defining brackets: a bracket recursion that peels
@@ -39,9 +39,7 @@ from .core import (
 )
 
 _CLOSED_MEMO = memo_table()
-_LAM_ROWS = memo_table()
-_THETA_ROWS = memo_table()
-_PERM_ROWS = memo_table()
+_BETA_ROWS = memo_table()
 _LMUL_MEMO = memo_table()
 _BRACKET_MEMO = memo_table()
 _MUL_MEMO = memo_table()
@@ -51,38 +49,40 @@ _MUL_MEMO = memo_table()
 # closed-form route
 # ---------------------------------------------------------------------------
 
-def _lam_row(rem_j: int, s: int, y_cap: int) -> list:
-    # by eta: the contraction sum over lam, times C(y_cap, eta) (-3)^eta
-    comb, fact, perm = math.comb, math.factorial, math.perm
-    return [
-        comb(y_cap, eta) * (-3) ** eta * sum(
-            fact(lam) * comb(rem_j, lam) * comb(eta, lam) * perm(s, rem_j - lam)
-            for lam in range(max(0, rem_j - s), min(eta, rem_j) + 1)
-        )
-        for eta in range(y_cap + 1)
-    ]
+def _beta_row(i: int, p: int, alpha: int, d: int) -> list:
+    # B(N, P) = sum_beta (-1)^beta perm(i,beta) perm(p,P-beta) sum_gamma (-1)^gamma
+    # C(N,gamma) 2^(i-gamma) C(alpha,beta-gamma) at P = N + d, by N while P <= p + i
+    comb, perm = math.comb, math.perm
+    return [sum(
+        (-1) ** beta * perm(i, beta) * perm(p, n + d - beta) * sum(
+            (-1) ** gamma * comb(n, gamma) * 2 ** (i - gamma) * comb(alpha, beta - gamma)
+            for gamma in range(max(0, beta - alpha), min(beta, n) + 1))
+        for beta in range(max(0, n + d - p), min(i, n + d) + 1)
+    ) for n in range(p + i - d + 1)]
 
 
 def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     """Product of two basis monomials from the universal structure constants.
 
-    The nine indices run over exactly the tuples whose weight is nonzero
-    (every bound is pruned, including through the falling factorials applied
-    to the right factor).  Each factor enters at the loop level where it is
-    fixed: the multinomials of ``j`` and ``l`` split into one binomial per
-    index (``alpha! C(j, alpha) C(l, alpha)`` per alpha), and each power of
-    2, 3 and -1 follows its index.  Memo tables shared by all calls and
-    filled on first use hold the rest:
+    With ``la = l-alpha``, ``rem_j = j-alpha-eps-zeta`` and ``n2 =
+    la-eta-theta``, the term of ``(alpha, eps, zeta, eta, n2)`` lands on
+    ``(p+i-j+eps-n2, q+eps-n2, r+k+zeta-la+eta+n2, s-rem_j+eta,
+    rem_j+l+m+t-eta)`` for ``x = (i,j,k,l,m)`` and ``y = (p,q,r,s,t)``, with
+    numerator over ``2^(l+i) 3^(j+l)`` (reduced once per monomial)
 
-    * ``_LAM_ROWS[(rem_j, s, y_cap)]``, once per ``(eps, zeta)``: by eta,
-      the contraction sum over lam times ``C(y_cap, eta) (-3)^eta``;
-    * ``_THETA_ROWS[(rest, w, q, r)]``, once per eta: by theta,
-      ``C(rest, theta) perm(r, theta) perm(q, w-theta) 3^theta``;
-    * ``_PERM_ROWS[p]``, once per call: ``perm(p, da)`` by ``da``.
+        alpha! C(j,alpha) C(l,alpha) 3^alpha (-2)^la C(j-alpha,eps) 3^eps
+        C(j-alpha-eps,zeta) (-3)^zeta C(la,eta) (-3)^eta perm(s+eta,rem_j)
+        C(la-eta,theta) perm(r,theta) 3^theta perm(q,n2) B(rem_j+n2, j-eps+n2)
 
-    The output monomial is a base tuple shifted by theta (a and b by
-    ``+theta``, c by ``-theta``).  Integer numerators accumulate over
-    ``2^(l+i) 3^(j+l)``; the result is reduced once per output monomial.
+    and ``B`` the beta and gamma sum of ``_beta_row``.  This is the
+    nine-index sum (alpha..theta, lam) of the closed left-multiplication
+    operator on ``y`` with the four sums the monomial does not see closed.
+    Over lam, ``sum lam! C(rem_j,lam) C(eta,lam) perm(s,rem_j-lam) =
+    perm(s+eta,rem_j)`` (Vandermonde for falling factorials).  Regrouped
+    multinomials leave ``C(rem_j,delta) C(n2,gamma-delta)``, whose sum over
+    delta is ``C(rem_j+n2,gamma)`` (Chu-Vandermonde).  Bounds: ``eta >=
+    rem_j-s``, ``max(0, la-eta-r) <= n2 <= min(la-eta, q)`` and ``N <=
+    p+i-alpha-zeta``; ``_BETA_ROWS[(i, p, alpha, alpha+zeta)]`` holds B by N.
     """
     cached = _CLOSED_MEMO.get((x, y))
     if cached is not None:
@@ -97,57 +97,37 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     i, j, k, l, m = x
     p, q, r, s, t = y
     comb, perm = math.comb, math.perm
-    # pp[d] = perm(p, d); rows are never empty, so only a miss is falsy
-    pp = _PERM_ROWS.get(p) or _PERM_ROWS.setdefault(p, [perm(p, d) for d in range(p + 1)])
     K = (2 ** (l + i)) * 3 ** (j + l)
+    r3 = [perm(r, th) * 3 ** th for th in range(r + 1)]
+    pq = [perm(q, n2) for n2 in range(q + 1)]
     acc: dict = {}
 
     for alpha in range(min(j, l) + 1):
         la = l - alpha
-        w_a = math.factorial(alpha) * comb(j, alpha) * comb(l, alpha) * 3 ** alpha
-        for beta in range(i + 1):
-            w_b = w_a * perm(i, beta)
-            for gamma in range(max(0, beta - alpha), beta + 1):
-                sign = -1 if (beta + la - gamma) & 1 else 1
-                w_g = sign * w_b * comb(alpha, beta - gamma) * 2 ** (l + i - alpha - gamma)
-                for delta in range(max(0, alpha + gamma - l), min(gamma, j - alpha) + 1):
-                    u_cap = j - alpha - delta
-                    gd = gamma - delta
-                    y_cap = la - gd
-                    w_d = w_g * comb(j - alpha, delta) * comb(la, gd)
-                    for eps in range(u_cap + 1):
-                        c0 = j - beta - eps
-                        cap = min(q, p - c0)  # theta >= w - cap keeps db <= q, da <= p
-                        if gd > cap:
-                            continue
-                        x_lo = la - cap  # theta >= x_lo - eta
-                        w_e = w_d * comb(u_cap, eps) * 3 ** eps
-                        a_base = p - c0 + i - beta - la
-                        b_base = q + eps - la
-                        for zeta in range(u_cap - eps + 1):
-                            rem_j = j - alpha - eps - zeta
-                            key = (rem_j, s, y_cap)
-                            lams = _LAM_ROWS.get(key) or _LAM_ROWS.setdefault(key, _lam_row(*key))
-                            w_z = w_e * comb(u_cap - eps, zeta) * (-3) ** zeta
-                            c_base = r + zeta + k
-                            for eta in range(max(0, rem_j - s, x_lo - r), y_cap + 1):
-                                w = la - eta
-                                rest = y_cap - eta
-                                key = (rest, w, q, r)
-                                h_row = _THETA_ROWS.get(key) or _THETA_ROWS.setdefault(key, [
-                                    comb(rest, th) * perm(r, th) * perm(q, w - th) * 3 ** th
-                                    for th in range(min(rest, r) + 1)
-                                ])
-                                w_n = w_z * lams[eta]
-                                da = c0 + w  # a-exponent taken from y at theta = 0
-                                a0 = a_base + eta
-                                b0 = b_base + eta
-                                ed = s - rem_j + eta
-                                em = rem_j + l + m + t - eta
-                                th_lo = x_lo - eta if x_lo > eta else 0
-                                for th in range(th_lo, (rest if rest < r else r) + 1):
-                                    mono = (a0 + th, b0 + th, c_base - th, ed, em)
-                                    acc[mono] = acc.get(mono, 0) + w_n * h_row[th] * pp[da - th]
+        w_a = math.factorial(alpha) * comb(j, alpha) * comb(l, alpha) * 3 ** alpha * (-2) ** la
+        for eps in range(j - alpha + 1):
+            w_e = w_a * comb(j - alpha, eps) * 3 ** eps
+            a0, b0 = p + i - j + eps, q + eps
+            for zeta in range(j - alpha - eps + 1):
+                rem_j = j - alpha - eps - zeta
+                key = (i, p, alpha, alpha + zeta)
+                row = _BETA_ROWS.get(key)
+                if row is None:
+                    row = _BETA_ROWS[key] = _beta_row(*key)
+                n2_hi = min(q, len(row) - 1 - rem_j)  # past it perm(q, n2) or B is zero
+                if n2_hi < 0:
+                    continue
+                w_z = w_e * comb(j - alpha - eps, zeta) * (-3) ** zeta
+                for eta in range(max(0, rem_j - s), la + 1):
+                    rest = la - eta
+                    w_n = w_z * comb(la, eta) * (-3) ** eta * perm(s + eta, rem_j)
+                    c0 = r + k + zeta - rest
+                    ed = s - rem_j + eta
+                    em = rem_j + l + m + t - eta
+                    for n2 in range(max(0, rest - r), min(rest, n2_hi) + 1):
+                        mono = (a0 - n2, b0 - n2, c0 + n2, ed, em)
+                        w = w_n * comb(rest, n2) * r3[rest - n2] * pq[n2] * row[rem_j + n2]
+                        acc[mono] = acc.get(mono, 0) + w
     out = _CLOSED_MEMO[(x, y)] = UElement._make(
         {mono: Fraction(num, K) for mono, num in acc.items() if num}
     )

@@ -160,7 +160,6 @@ def test_type2_scan_counts_every_piece():
     assert counts == {
         "H + C decomposition": len(_PAIRS2) - type1,
         "type-1 concatenation": type1,
-        "Heisenberg associativity": 2**6,
         "type-2 associator": 3 * 2**9,
     }
 

@@ -164,9 +164,11 @@ def test_oracle_recursion_overflow_reports():
         clear_memos()
 
 
-# degree-9 to 11 pairs shaped like perfbench's high_degree workload: the
-# (a, b, d) exponents are a permutation of (2, 3, 4) or (3, 3, 3), some with
-# one c or e; beyond the degree 5 that ``check oracle`` reaches
+# pairs beyond the degree 5 that ``check oracle`` reaches.  The first ten
+# are shaped like perfbench's high_degree workload: degree 9 to 11, the
+# (a, b, d) exponents a permutation of (2, 3, 4) or (3, 3, 3), some with one
+# c or e.  The last four have right factors with c >= 2 and small b, so that
+# the kernel's eta and theta bounds cut inside their ranges.
 HIGH_DEGREE_PAIRS = [
     ((2, 3, 0, 4, 0), (3, 3, 0, 3, 0)),
     ((3, 3, 0, 3, 0), (4, 2, 1, 3, 0)),
@@ -178,6 +180,10 @@ HIGH_DEGREE_PAIRS = [
     ((3, 2, 0, 4, 0), (4, 3, 1, 2, 0)),
     ((3, 3, 0, 3, 1), (3, 3, 0, 3, 0)),
     ((2, 3, 1, 4, 0), (4, 2, 0, 3, 1)),
+    ((2, 2, 0, 5, 0), (3, 1, 3, 3, 0)),
+    ((3, 4, 1, 4, 0), (2, 0, 2, 4, 1)),
+    ((1, 5, 0, 4, 0), (4, 1, 4, 2, 0)),
+    ((4, 3, 2, 3, 1), (2, 2, 3, 5, 0)),
 ]
 
 
@@ -189,10 +195,9 @@ def test_closed_form_agrees_with_operators_at_high_degree(x, y):
 def test_clear_memos_empties_kernel_tables():
     x = U((3, 3, 0, 3, 0))
     associator_u(x, x, x)
-    kernel_tables = (envelope._LAM_ROWS, envelope._THETA_ROWS, envelope._PERM_ROWS)
-    assert all(kernel_tables)
+    assert envelope._BETA_ROWS
     core.clear_memos()
-    assert all(any(t is table for table in core._MEMO_TABLES) for t in kernel_tables)
+    assert any(table is envelope._BETA_ROWS for table in core._MEMO_TABLES)
     assert not any(core._MEMO_TABLES)
 
 
