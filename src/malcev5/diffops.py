@@ -18,9 +18,10 @@ products of words.
 The generator tables :func:`rho` (right multiplication) and :func:`lmul`
 (left multiplication) are the bridge between the recursive product oracle
 and the closed structure-constant formula: left multiplication by a whole
-monomial is assembled either from a nine-index closed expansion
-(:func:`l_of_monomial`) or by composing standard words
-(:func:`l_of_monomial_via_factors`), and the two must agree.
+monomial is assembled either from a seven-index closed expansion
+(:func:`l_of_monomial`, two more index sums of the words done in closed
+form) or by composing standard words (:func:`l_of_monomial_via_factors`),
+and the two must agree.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     _UNIT,
     _are_exponents,
     _bilinear,
+    _check_monomial,
     _letter_index,
     _pruned,
     binomial,
@@ -298,64 +300,53 @@ def ld_power_closed(y: int) -> Operator:
 def l_of_monomial(mono) -> Operator:
     """Left multiplication by the basis monomial ``mono``, in closed form.
 
-    This is the nine-index expansion of the composed standard words; it is
-    the operator kernel behind the closed structure constants.  Loop bounds
-    are pruned to exactly the index tuples with nonzero combinatorial
-    weight, so every surviving summand contributes.
+    The combination of standard words that :func:`l_of_monomial_via_factors`
+    composes, expanded: the operator kernel behind the closed structure
+    constants.  For ``mono = (i,j,k,l,m)``, ``rem_j = j-alpha-eps-zeta`` and
+    ``n2 = l-alpha-eta-theta``, the term of ``(alpha, beta, eps, zeta, eta,
+    theta, lam)`` lands on ``((i-beta, eps, zeta+k, eta-lam, rem_j+l-eta+m),
+    (j-beta-eps+n2, n2, theta, rem_j-lam))``, over ``2^(l+i) 3^(j+l)``.  The
+    expansion's two other indices, gamma and delta, miss the word.  Its
+    multinomials regroup to ``C(j,alpha) C(j-alpha,eps) C(j-alpha-eps,zeta)
+    C(rem_j,delta)`` and ``C(l,alpha) C(l-alpha,eta) C(l-alpha-eta,theta)
+    C(n2,gamma-delta)``.  Over delta the last factors sum to
+    ``C(rem_j+n2,gamma)`` (Chu-Vandermonde); with the other gamma-dependent
+    factors ``(-1)^gamma 2^(beta-gamma) C(alpha,beta-gamma)`` they sum over
+    ``max(0, beta-alpha) <= gamma <= beta`` to ``g``.
     """
     cached = _L_MEMO.get(mono)
     if cached is not None:
         return cached
+    _check_monomial(mono)
     i, j, k, l, m = mono
-    fact = math.factorial
-    out = {}
-    for alpha in range(l + 1):
-        f_alpha = fact(alpha)
+    comb, perm = math.comb, math.perm
+    acc: dict = {}
+    for alpha in range(min(j, l) + 1):
+        la = l - alpha
+        w_a = math.factorial(alpha) * comb(j, alpha) * comb(l, alpha) * (-2) ** la * 3 ** alpha
         for beta in range(i + 1):
-            bin_i = binomial(i, beta)
-            for gamma in range(max(0, beta - alpha), beta + 1):
-                bin_ag = binomial(alpha, beta - gamma)
-                pow2 = 2 ** (alpha + gamma)
-                d_lo = max(0, alpha + gamma - l)
-                d_hi = min(gamma, j - alpha)
-                for delta in range(d_lo, d_hi + 1):
-                    u_cap = j - alpha - delta
-                    y_cap = l - alpha - gamma + delta
-                    for eps in range(u_cap + 1):
-                        for zeta in range(u_cap - eps + 1):
-                            mj = multinomial(j, (alpha, delta, eps, zeta))
-                            rem_j = j - alpha - eps - zeta  # >= delta >= 0
-                            for eta in range(y_cap + 1):
-                                for theta in range(y_cap - eta + 1):
-                                    ml = multinomial(l, (alpha, gamma - delta, eta, theta))
-                                    e3 = (j - eps - zeta) + (l - alpha - eta - theta)
-                                    sign = -1 if (beta + zeta + l - alpha - gamma - eta) & 1 else 1
-                                    den = pow2 * 3 ** e3
-                                    base = sign * f_alpha * fact(beta) * bin_ag * bin_i * mj * ml
-                                    for lam in range(min(eta, rem_j) + 1):
-                                        num = (
-                                            base
-                                            * fact(lam)
-                                            * binomial(rem_j, lam)
-                                            * binomial(eta, lam)
-                                        )
-                                        word = (
-                                            (
-                                                i - beta,
-                                                eps,
-                                                zeta + k,
-                                                eta - lam,
-                                                rem_j + l - eta + m,
-                                            ),
-                                            (
-                                                j - beta - eps + l - alpha - eta - theta,
-                                                l - alpha - eta - theta,
-                                                theta,
-                                                rem_j - lam,
-                                            ),
-                                        )
-                                        out[word] = out.get(word, 0) + Fraction(num, den)
-    op = _L_MEMO[mono] = Operator._make(_pruned(out))
+            w_b = w_a * (-1) ** beta * perm(i, beta) * 2 ** (i - beta)
+            for eps in range(j - alpha + 1):
+                w_e = w_b * comb(j - alpha, eps) * 3 ** eps
+                for zeta in range(j - alpha - eps + 1):
+                    rem_j = j - alpha - eps - zeta
+                    w_z = w_e * comb(j - alpha - eps, zeta) * (-3) ** zeta
+                    for eta in range(la + 1):
+                        w_h = w_z * comb(la, eta) * (-3) ** eta
+                        for theta in range(la - eta + 1):
+                            n2 = la - eta - theta
+                            g = sum((-1) ** gamma * 2 ** (beta - gamma) * comb(alpha, beta - gamma)
+                                    * comb(rem_j + n2, gamma)
+                                    for gamma in range(max(0, beta - alpha), beta + 1))
+                            if not g:
+                                continue
+                            w = w_h * comb(la - eta, theta) * 3 ** theta * g
+                            for lam in range(min(eta, rem_j) + 1):
+                                word = ((i - beta, eps, zeta + k, eta - lam, rem_j + l - eta + m),
+                                        (j - beta - eps + n2, n2, theta, rem_j - lam))
+                                acc[word] = acc.get(word, 0) + w * perm(eta, lam) * comb(rem_j, lam)
+    K = 2 ** (l + i) * 3 ** (j + l)
+    op = _L_MEMO[mono] = Operator._make({w: Fraction(num, K) for w, num in acc.items() if num})
     return op
 
 
@@ -369,6 +360,7 @@ def l_of_monomial_via_factors(mono) -> Operator:
     silently kill the out-of-range terms.  Serves as an independent oracle
     for :func:`l_of_monomial`.
     """
+    _check_monomial(mono)
     i, j, k, l, m = mono
     fact = math.factorial
     acc = Operator.zero()

@@ -4,7 +4,7 @@ Two independent multiplication routes live here and must agree everywhere:
 
 * :func:`mul_u_closed` -- the closed structure-constant kernel, a five-index
   integer sum: the left-multiplication operator of :mod:`malcev5.diffops` on
-  a basis monomial, with four of its nine index sums done in closed form;
+  a basis monomial, with four of the nine sums of its word expansion closed;
 * :func:`mul_u_oracle` -- a recursive evaluator that knows nothing about
   operators or closed sums.  It reduces every product to the degree-lowering
   identities forced by the defining brackets: a bracket recursion that peels
@@ -30,6 +30,7 @@ from .core import (
     UElement,
     _UNIT,
     _bilinear,
+    _check_monomial,
     _letter_index,
     _merge,
     _pruned,
@@ -87,6 +88,8 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     cached = _CLOSED_MEMO.get((x, y))
     if cached is not None:
         return cached
+    _check_monomial(x)
+    _check_monomial(y)
     if x == ONE:
         out = _CLOSED_MEMO[(x, y)] = UElement._make({y: 1})
         return out
@@ -150,6 +153,8 @@ def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
     Only defined on monomials with no a or b part (raises otherwise); used
     as a small independent oracle for :func:`mul_u_closed` on that corner.
     """
+    _check_monomial(x)
+    _check_monomial(y)
     if x[0] or x[1] or y[0] or y[1]:
         raise ValueError("mul_cde_closed is only defined on monomials in c, d, e")
     _, _, i, j, k = x

@@ -299,7 +299,7 @@ def test_l_of_monomial_central_powers():
 
 
 def test_l_of_monomial_matches_factored_form():
-    # the closed nine-fold sum against the composed standard words
+    # the closed form against the composed standard words
     monos = [
         (2, 0, 0, 0, 0),
         (0, 2, 0, 1, 0),

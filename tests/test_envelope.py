@@ -17,7 +17,7 @@ import pytest
 
 from malcev5 import core, envelope
 from malcev5.core import ComputationError, MalcevVector, UElement, bracket_m
-from malcev5.diffops import l_of_monomial
+from malcev5.diffops import l_of_monomial, l_of_monomial_via_factors
 from malcev5.envelope import (
     associator_u,
     bracket_u,
@@ -198,6 +198,27 @@ def test_clear_memos_empties_kernel_tables():
     assert envelope._BETA_ROWS
     core.clear_memos()
     assert any(table is envelope._BETA_ROWS for table in core._MEMO_TABLES)
+    assert not any(core._MEMO_TABLES)
+
+
+MONOMIAL_ENTRY_POINTS = {
+    "mul_u_closed(bad, a)": lambda bad: mul_u_closed(bad, (1, 0, 0, 0, 0)),
+    "mul_u_closed(a, bad)": lambda bad: mul_u_closed((1, 0, 0, 0, 0), bad),
+    "mul_cde_closed(bad, c)": lambda bad: mul_cde_closed(bad, (0, 0, 1, 0, 0)),
+    "mul_cde_closed(c, bad)": lambda bad: mul_cde_closed((0, 0, 1, 0, 0), bad),
+    "l_of_monomial": l_of_monomial,
+    "l_of_monomial_via_factors": l_of_monomial_via_factors,
+}
+
+
+@pytest.mark.parametrize("call", MONOMIAL_ENTRY_POINTS.values(), ids=MONOMIAL_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "bad", [(0, 0, -1, 0, 0), (0, 0, True, 0, 0), (0, 0, 1, 0)], ids=["negative", "bool", "4-tuple"]
+)
+def test_monomial_kernels_reject_malformed_monomials(call, bad):
+    core.clear_memos()
+    with pytest.raises(ValueError):
+        call(bad)
     assert not any(core._MEMO_TABLES)
 
 
