@@ -11,12 +11,13 @@ coefficients are ``fractions.Fraction`` or plain ``int``.
 This module owns the shared vocabulary: letters, monomials, the graded-lex
 term order, combinatorial helpers with the vanishing conventions used by the
 closed formulas, vectors of the base algebra, the sparse linear
-combination type that the other modules build on, and the registry of
-memo tables.
+combination type that the other modules build on, and :func:`memoized`,
+the one memo mechanism.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -402,21 +403,23 @@ def jacobian_m(x: MalcevVector, y: MalcevVector, z: MalcevVector) -> MalcevVecto
 # memo tables
 # ---------------------------------------------------------------------------
 
-_MEMO_TABLES: list = []
+_MEMOIZED: list = []
 
 
-def memo_table() -> dict:
-    """A new memo table, a plain dict that :func:`clear_memos` empties.
+def memoized(fn):
+    """``functools.cache(fn)``, recorded so that :func:`clear_memos` empties it.
 
-    Tables grow until cleared: lookups are ``dict.get`` and stores plain
-    assignments, so a table's size is its miss count.
+    A cache grows until cleared; its ``cache_info()`` gives hits, misses
+    and size.  Every caller shares one result per key, so no caller may
+    mutate it.  Arguments are not validated on a hit, so a public entry
+    point checks its arguments before it calls a memoized kernel.
     """
-    table: dict = {}
-    _MEMO_TABLES.append(table)
-    return table
+    cached = functools.cache(fn)
+    _MEMOIZED.append(cached)
+    return cached
 
 
 def clear_memos() -> None:
     """Empty every memo table (mainly useful for measuring cold runs)."""
-    for table in _MEMO_TABLES:
-        table.clear()
+    for cached in _MEMOIZED:
+        cached.cache_clear()

@@ -42,7 +42,7 @@ from .core import (
     _letter_index,
     _pruned,
     binomial,
-    memo_table,
+    memoized,
     multinomial,
 )
 
@@ -240,19 +240,12 @@ def lmul(letter: str) -> Operator:
 # left multiplication by a whole monomial
 # ---------------------------------------------------------------------------
 
-_WORD_MEMO = memo_table()
-_L_MEMO = memo_table()
-
-
+@memoized
 def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     """The composed word ``L(a)^s D_a^t L(b)^u D_b^v L(c)^w D_d^x L(d)^y L(e)^z``.
 
     Rightmost factor acts first, as usual for operator products.
     """
-    key = (s, t, u, v, w, x, y, z)
-    cached = _WORD_MEMO.get(key)
-    if cached is not None:
-        return cached
     factors = (
         (_LMUL["a"], s),
         (Operator.deriv("a"), t),
@@ -267,7 +260,6 @@ def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     for op, count in factors:
         for _ in range(count):
             acc = compose(acc, op)
-    _WORD_MEMO[key] = acc
     return acc
 
 
@@ -314,10 +306,13 @@ def l_of_monomial(mono) -> Operator:
     factors ``(-1)^gamma 2^(beta-gamma) C(alpha,beta-gamma)`` they sum over
     ``max(0, beta-alpha) <= gamma <= beta`` to ``g``.
     """
-    cached = _L_MEMO.get(mono)
-    if cached is not None:
-        return cached
     _check_monomial(mono)
+    return _l_of_monomial(mono)
+
+
+@memoized
+def _l_of_monomial(mono) -> Operator:
+    """The operator of :func:`l_of_monomial` on a validated monomial."""
     i, j, k, l, m = mono
     comb, perm = math.comb, math.perm
     acc: dict = {}
@@ -346,8 +341,7 @@ def l_of_monomial(mono) -> Operator:
                                         (j - beta - eps + n2, n2, theta, rem_j - lam))
                                 acc[word] = acc.get(word, 0) + w * perm(eta, lam) * comb(rem_j, lam)
     K = 2 ** (l + i) * 3 ** (j + l)
-    op = _L_MEMO[mono] = Operator._make({w: Fraction(num, K) for w, num in acc.items() if num})
-    return op
+    return Operator._make({w: Fraction(num, K) for w, num in acc.items() if num})
 
 
 def l_of_monomial_via_factors(mono) -> Operator:

@@ -36,20 +36,15 @@ from .core import (
     _pruned,
     binomial,
     clear_memos,  # re-exported: envelope.clear_memos stays importable
-    memo_table,
+    memoized,
 )
-
-_CLOSED_MEMO = memo_table()
-_BETA_ROWS = memo_table()
-_LMUL_MEMO = memo_table()
-_BRACKET_MEMO = memo_table()
-_MUL_MEMO = memo_table()
 
 
 # ---------------------------------------------------------------------------
 # closed-form route
 # ---------------------------------------------------------------------------
 
+@memoized
 def _beta_row(i: int, p: int, alpha: int, d: int) -> list:
     # B(N, P) = sum_beta (-1)^beta perm(i,beta) perm(p,P-beta) sum_gamma (-1)^gamma
     # C(N,gamma) 2^(i-gamma) C(alpha,beta-gamma) at P = N + d, by N while P <= p + i
@@ -83,19 +78,20 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     multinomials leave ``C(rem_j,delta) C(n2,gamma-delta)``, whose sum over
     delta is ``C(rem_j+n2,gamma)`` (Chu-Vandermonde).  Bounds: ``eta >=
     rem_j-s``, ``max(0, la-eta-r) <= n2 <= min(la-eta, q)`` and ``N <=
-    p+i-alpha-zeta``; ``_BETA_ROWS[(i, p, alpha, alpha+zeta)]`` holds B by N.
+    p+i-alpha-zeta``; ``_beta_row(i, p, alpha, alpha+zeta)`` holds B by N.
     """
-    cached = _CLOSED_MEMO.get((x, y))
-    if cached is not None:
-        return cached
     _check_monomial(x)
     _check_monomial(y)
+    return UElement._make(_closed_terms(x, y))
+
+
+@memoized
+def _closed_terms(x: Monomial, y: Monomial) -> dict:
+    """The term dict of :func:`mul_u_closed` on validated monomials."""
     if x == ONE:
-        out = _CLOSED_MEMO[(x, y)] = UElement._make({y: 1})
-        return out
+        return {y: 1}
     if y == ONE:
-        out = _CLOSED_MEMO[(x, y)] = UElement._make({x: 1})
-        return out
+        return {x: 1}
 
     i, j, k, l, m = x
     p, q, r, s, t = y
@@ -113,10 +109,7 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
             a0, b0 = p + i - j + eps, q + eps
             for zeta in range(j - alpha - eps + 1):
                 rem_j = j - alpha - eps - zeta
-                key = (i, p, alpha, alpha + zeta)
-                row = _BETA_ROWS.get(key)
-                if row is None:
-                    row = _BETA_ROWS[key] = _beta_row(*key)
+                row = _beta_row(i, p, alpha, alpha + zeta)
                 n2_hi = min(q, len(row) - 1 - rem_j)  # past it perm(q, n2) or B is zero
                 if n2_hi < 0:
                     continue
@@ -131,14 +124,7 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
                         mono = (a0 - n2, b0 - n2, c0 + n2, ed, em)
                         w = w_n * comb(rest, n2) * r3[rest - n2] * pq[n2] * row[rem_j + n2]
                         acc[mono] = acc.get(mono, 0) + w
-    out = _CLOSED_MEMO[(x, y)] = UElement._make(
-        {mono: Fraction(num, K) for mono, num in acc.items() if num}
-    )
-    return out
-
-
-def _closed_terms(x: Monomial, y: Monomial) -> dict:
-    return mul_u_closed(x, y).terms
+    return {mono: Fraction(num, K) for mono, num in acc.items() if num}
 
 
 def mul_u(x: UElement, y: UElement) -> UElement:
@@ -204,6 +190,7 @@ def _bracket_dict(d, f):
     return out
 
 
+@memoized
 def _lmul_letter(f, x):
     """``f * x`` for a generator index ``f`` and monomial ``x`` (term dict).
 
@@ -218,10 +205,6 @@ def _lmul_letter(f, x):
     g = _leading(x)
     if f <= g:
         return {_prepended(f, x): 1}
-    key = (f, x)
-    cached = _LMUL_MEMO.get(key)
-    if cached is not None:
-        return cached
     y = _strip(x, g)
     out: dict = {}
     if y == ONE:
@@ -244,10 +227,10 @@ def _lmul_letter(f, x):
         # + 1/3 [y,[f,g]]
         for w, coeff in _B1.get((f, g), {}).items():
             _merge(out, _bracket_mono(y, _leading(w)), third * coeff)
-    out = _LMUL_MEMO[key] = _pruned(out)
-    return out
+    return _pruned(out)
 
 
+@memoized
 def _bracket_mono(x, f):
     """``[x, f]`` for a monomial ``x`` and generator index ``f`` (term dict)."""
     if x == ONE:
@@ -256,10 +239,6 @@ def _bracket_mono(x, f):
     y = _strip(x, g)
     if y == ONE:
         return _B1.get((g, f), {})
-    key = (x, f)
-    cached = _BRACKET_MEMO.get(key)
-    if cached is not None:
-        return cached
     out: dict = {}
     # [g,f] y
     for w, coeff in _B1.get((g, f), {}).items():
@@ -275,10 +254,10 @@ def _bracket_mono(x, f):
     # - 1/2 [y,[f,g]]
     for w, coeff in _B1.get((f, g), {}).items():
         _merge(out, _bracket_mono(y, _leading(w)), -half * coeff)
-    out = _BRACKET_MEMO[key] = _pruned(out)
-    return out
+    return _pruned(out)
 
 
+@memoized
 def _mul_mono(x, z):
     """``x * z`` for basis monomials, by the generator-peeling recursion."""
     if x == ONE:
@@ -289,10 +268,6 @@ def _mul_mono(x, z):
     xt = _strip(x, f)
     if xt == ONE:
         return _lmul_letter(f, z)
-    key = (x, z)
-    cached = _MUL_MEMO.get(key)
-    if cached is not None:
-        return cached
     out: dict = {}
     xz = _mul_mono(xt, z)
     for mono, coeff in xz.items():
@@ -305,8 +280,7 @@ def _mul_mono(x, z):
     # - xt [z, f]
     for mono, coeff in _bracket_mono(z, f).items():
         _merge(out, _mul_mono(xt, mono), -coeff)
-    out = _MUL_MEMO[key] = _pruned(out)
-    return out
+    return _pruned(out)
 
 
 def mul_u_oracle(x: UElement, y: UElement) -> UElement:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from malcev5 import diffops, envelope
+from malcev5 import core, diffops, envelope
 from malcev5.core import (
     LETTERS,
     ONE,
@@ -302,14 +302,15 @@ def test_letters_constant():
 # memo tables
 
 
-def memo_tables():
+def memoized_kernels():
     return [
-        envelope._CLOSED_MEMO,
-        envelope._LMUL_MEMO,
-        envelope._BRACKET_MEMO,
-        envelope._MUL_MEMO,
-        diffops._L_MEMO,
-        diffops._WORD_MEMO,
+        envelope._closed_terms,
+        envelope._beta_row,
+        envelope._lmul_letter,
+        envelope._bracket_mono,
+        envelope._mul_mono,
+        diffops._l_of_monomial,
+        diffops.standard_word,
     ]
 
 
@@ -323,8 +324,11 @@ def fill_memos():
 
 
 def test_clear_memos_empties_every_table():
+    kernels = memoized_kernels()
+    assert len(core._MEMOIZED) == len(kernels)
+    assert set(core._MEMOIZED) == set(kernels)
     fill_memos()
-    assert all(memo_tables())
+    assert all(cached.cache_info().currsize > 0 for cached in kernels)
     clear_memos()
-    assert not any(memo_tables())
+    assert all(cached.cache_info().currsize == 0 for cached in kernels)
     assert envelope.clear_memos is clear_memos
