@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from malcev5 import core
+from malcev5 import core, envelope
 from malcev5.core import ComputationError, MalcevVector, UElement, bracket_m
 from malcev5.diffops import l_of_monomial, l_of_monomial_via_factors
 from malcev5.envelope import (
@@ -194,6 +194,15 @@ HIGH_DEGREE_PAIRS = [
 @pytest.mark.parametrize("x, y", HIGH_DEGREE_PAIRS)
 def test_closed_form_agrees_with_operators_at_high_degree(x, y):
     assert l_of_monomial(x).apply(UElement({y: 1})) == mul_u_closed(x, y)
+
+
+def test_clear_memos_empties_kernel_tables():
+    x = U((3, 3, 0, 3, 0))
+    associator_u(x, x, x)
+    assert envelope._beta_row.cache_info().currsize
+    core.clear_memos()
+    assert envelope._beta_row in core._MEMOIZED
+    assert all(cached.cache_info().currsize == 0 for cached in core._MEMOIZED)
 
 
 MONOMIAL_ENTRY_POINTS = {
