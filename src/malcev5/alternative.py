@@ -19,9 +19,6 @@ Both are cross-checked against the enveloping product: ``project`` after
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .core import (
     ONE,
     Monomial,
@@ -68,61 +65,60 @@ class AElement(_SparseElement):
 
     @classmethod
     def one(cls) -> "AElement":
-        return cls._make({ONE: 1})
+        return cls._make(1, {ONE: 1})
 
     @classmethod
     def from_letter(cls, letter: str) -> "AElement":
-        return cls._make({letter_monomial(letter): 1})
+        return cls._make(1, {letter_monomial(letter): 1})
 
 
 def project(x: UElement) -> AElement:
     """The quotient map: drop every term inside the alternator ideal."""
-    return AElement._make(
-        {mono: coeff for mono, coeff in x.terms.items() if not in_ideal_j(mono)}
-    )
+    return AElement._make(x._den, {mono: n for mono, n in x._num.items() if not in_ideal_j(mono)})
 
 
 # ---------------------------------------------------------------------------
 # the closed product
 # ---------------------------------------------------------------------------
 
-def _mul_a_mono(x: Monomial, y: Monomial):
-    """Product of two quotient basis monomials, as a term dict."""
+def _mul_a_mono(x: Monomial, y: Monomial) -> tuple:
+    """Product of two quotient basis monomials, as ``(den, numerators)``:
+    over 6 when the correction term fires, over 1 otherwise."""
     if x[4]:
         if y[4]:
             # type1 * type1: the product lands entirely in the ideal
-            return {}
+            return 1, {}
         # type1 * type2 survives only when the type-2 factor has no c
         if y[2]:
-            return {}
-        return {(x[0] + y[0], x[1] + y[1], 0, x[3] + y[3], 1): 1}
+            return 1, {}
+        return 1, {(x[0] + y[0], x[1] + y[1], 0, x[3] + y[3], 1): 1}
     if y[4]:
         # type2 * type1, gated by the type-2 factor's c-exponent
         if x[2]:
-            return {}
-        return {(x[0] + y[0], x[1] + y[1], 0, x[3] + y[3], 1): 1}
+            return 1, {}
+        return 1, {(x[0] + y[0], x[1] + y[1], 0, x[3] + y[3], 1): 1}
 
     i, j, k, l, _ = x
     p, q, r, s, _ = y
-    out = {}
-    for mu in range(min(j, p) + 1):
-        coeff = math.factorial(mu) * math.comb(j, mu) * math.comb(p, mu)
-        out[(i + p - mu, j + q - mu, k + r + mu, l + s, 0)] = -coeff if mu & 1 else coeff
-    if k == 0:
-        if r == 0:
-            num = i * j * s - i * l * q + 3 * j * l * p + 2 * j * p * s - 2 * l * p * q
-            if num:
-                # every factor of num vanishes when the corresponding
-                # exponent is zero, so the shifts below never go negative
-                out[(i + p - 1, j + q - 1, 0, l + s - 1, 1)] = Fraction(num, 6)
-        elif r == 1 and l:
-            out[(i + p, j + q, 0, l + s - 1, 1)] = -l
-    return out
+    num = 0 if k or r else i * j * s - i * l * q + 3 * j * l * p + 2 * j * p * s - 2 * l * p * q
+    den = 6 if num else 1
+    out = {(i + p, j + q, k + r, l + s, 0): den}
+    coeff = den
+    for mu in range(1, min(j, p) + 1):
+        coeff = -coeff * (j - mu + 1) * (p - mu + 1) // mu  # (-1)^mu mu! C(j,mu) C(p,mu)
+        out[(i + p - mu, j + q - mu, k + r + mu, l + s, 0)] = coeff
+    if num:
+        # every factor of num vanishes when the corresponding exponent is
+        # zero, so the shifts below never go negative
+        out[(i + p - 1, j + q - 1, 0, l + s - 1, 1)] = num
+    elif k == 0 and r == 1 and l:
+        out[(i + p, j + q, 0, l + s - 1, 1)] = -l
+    return den, out
 
 
 def mul_a(x: AElement, y: AElement) -> AElement:
     """Bilinear product on the quotient (closed structure constants)."""
-    return AElement._make(_bilinear(x.terms, y.terms, _mul_a_mono))
+    return _bilinear(x, y, _mul_a_mono)
 
 
 def associator_a(x: AElement, y: AElement, z: AElement) -> AElement:
@@ -150,4 +146,4 @@ def type2_associator_closed(x: Monomial, y: Monomial, z: Monomial) -> AElement:
     if not num:
         return AElement.zero()
     mono = (i + p + v - 1, j + q + w - 1, 0, l + s + u - 1, 1)
-    return AElement._make({mono: Fraction(num, 6)})
+    return AElement._make(6, {mono: num})

@@ -5,8 +5,14 @@ basis ``a < b < c < d < e`` with the only nonzero brackets ``[a,b] = c`` and
 ``[c,d] = e`` (extended antisymmetrically).  Its enveloping algebra has the
 ordered monomials ``a^i b^j c^k d^l e^m`` as a linear basis, so a monomial
 is an exponent 5-tuple and an element is a sparse map from tuples to exact
-rational coefficients.  No floating point appears anywhere in the package;
-coefficients are ``fractions.Fraction`` or plain ``int``.
+rational coefficients.  No floating point appears anywhere in the package.
+
+An element stores its coefficients as one dict of ``int`` numerators over
+one positive ``int`` denominator, and is immutable.  Its public ``terms``
+map is a read-only view derived on access, with each coefficient an ``int``
+exactly when it is integral and a ``fractions.Fraction`` otherwise.  The
+product kernels return ``(den, numerators)`` too, and :func:`_bilinear`
+sums them over a common denominator and reduces by one ``gcd`` per product.
 
 This module owns the shared vocabulary: letters, monomials, the graded-lex
 term order, combinatorial helpers with the vanishing conventions used by the
@@ -19,8 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Rational
+from types import MappingProxyType
 
 LETTERS = "abcde"
 LETTER_INDEX = {ch: i for i, ch in enumerate(LETTERS)}
@@ -188,76 +196,112 @@ def _pruned(acc: dict, keys=None) -> dict:
 
 
 def _merge(acc: dict, terms: dict, scale) -> None:
-    """Add ``scale * terms`` into the term dict ``acc`` in place (zeros kept).
-
-    A sum that cancelled restarts from the integer 0, so the type of a
-    coefficient does not depend on whether it passed through zero.
-    """
+    """Add ``scale * terms`` into the term dict ``acc`` in place (zeros kept)."""
     for key, coeff in terms.items():
-        acc[key] = (acc.get(key) or 0) + scale * coeff
+        acc[key] = acc.get(key, 0) + scale * coeff
 
 
-def _bilinear(xs: dict, ys: dict, kernel) -> dict:
-    """The bilinear extension of ``kernel`` to two term dicts, pruned.
+def _scaled(terms: dict) -> tuple:
+    """``(den, numerators)`` of a dict of rational coefficients, ``den`` the
+    least common denominator; reduced when every coefficient is."""
+    den = 1
+    for coeff in terms.values():
+        if den % coeff.denominator:
+            den = math.lcm(den, coeff.denominator)
+    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
 
-    ``kernel(kx, ky)`` gives the term dict of one pair of basis keys; the
-    coefficients ``cx * cy`` are multiplied only for pairs whose result is
-    not empty.
+
+def _reduced(den: int, num: dict) -> tuple:
+    """``(den, num)`` divided by the gcd of ``den`` and every numerator."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return den // g, {key: n // g for key, n in num.items()}
+    return den, num
+
+
+def _bilinear(x, y, kernel):
+    """The bilinear extension of ``kernel`` to two elements; of ``x``'s type.
+
+    ``kernel(kx, ky)`` gives the ``(den, numerators)`` of one pair of basis
+    keys.  This is the one integer loop: it sums over the least common
+    denominator of the kernel results that are not empty, and reduces the
+    sum once at the end.
     """
     out: dict = {}
-    for kx, cx in xs.items():
-        for ky, cy in ys.items():
-            terms = kernel(kx, ky)
+    den = 1
+    for kx, cx in x._num.items():
+        for ky, cy in y._num.items():
+            kden, terms = kernel(kx, ky)
             if terms:
-                _merge(out, terms, cx * cy)
-    return _pruned(out)
+                if den % kden:  # a new factor of the common denominator
+                    grow = kden // math.gcd(den, kden)
+                    for key in out:
+                        out[key] *= grow
+                    den *= grow
+                c = cx * cy * (den // kden)
+                for key, n in terms.items():
+                    out[key] = out.get(key, 0) + c * n
+    return type(x)._make(*_reduced(x._den * y._den * den, _pruned(out)))
 
 
 class _SparseElement:
     """Shared machinery for exact sparse linear combinations of basis keys.
 
-    Zero coefficients are never stored, so equality is plain comparison of
-    the term maps.  Instances are immutable by contract: nothing in the
-    package mutates ``terms`` after construction, which is what makes every
-    value here safe to share across threads and to memoize.  The keys are
-    monomials by default; a subclass over other keys overrides
-    ``_check_basis``, the display order ``_term_key`` and the renderer
-    ``_render_key``.
+    An element is one dict ``_num`` of nonzero ``int`` numerators over one
+    positive ``int`` denominator ``_den``.  The pair need not be reduced:
+    products reduce it once, sums do not, so ``==`` cross-multiplies when
+    the denominators differ and ``hash`` reduces first.  ``terms``, the map
+    from key to coefficient, is a read-only view derived on access; a
+    coefficient in it is an ``int`` exactly when it is integral, a
+    ``Fraction`` otherwise.  Instances are immutable: nothing mutates
+    ``_num`` after construction, which is what makes every value here safe
+    to share across threads and to memoize.  The keys are monomials by
+    default; a subclass over other keys overrides ``_check_basis``, the
+    display order ``_term_key`` and the renderer ``_render_key``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     _term_key = staticmethod(term_key)
     _render_key = staticmethod(format_monomial)
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         data = {}
         for mono, coeff in items:
             self._check_basis(mono)
             if not isinstance(coeff, Rational):
                 raise TypeError(f"coefficients must be rational, got {coeff!r}")
-            data[mono] = (data.get(mono) or 0) + coeff
-        self.terms = _pruned(data)
+            data[mono] = data.get(mono, 0) + coeff
+        self._den, self._num = _scaled(_pruned(data))
 
     @staticmethod
     def _check_basis(mono) -> None:
         _check_monomial(mono)
 
     @classmethod
-    def _make(cls, clean: dict):
-        # Internal fast path: `clean` must already be validated and pruned.
+    def _make(cls, den: int, num: dict):
+        # Internal fast path: `num` must hold validated keys and nonzero ints.
         el = object.__new__(cls)
-        el.terms = clean
+        el._den = den
+        el._num = num
         return el
 
     @classmethod
     def zero(cls):
-        return cls._make({})
+        return cls._make(1, {})
 
     @classmethod
     def from_monomial(cls, mono, coeff=1):
         return cls({mono: coeff})
+
+    @property
+    def terms(self) -> Mapping:
+        """Key -> coefficient: a read-only view, ``int`` exactly when integral."""
+        den = self._den
+        return MappingProxyType(self._num if den == 1 else {
+            key: Fraction(n, den) if n % den else n // den for key, n in self._num.items()})
 
     def sorted_terms(self):
         """Terms in the canonical (graded-lex descending) display order."""
@@ -267,55 +311,56 @@ class _SparseElement:
     def coefficient(self, mono) -> Rational:
         return self.terms.get(mono, 0)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return type(self)._make(_pruned(out, other.terms))  # only these can cancel
+        a, b = self._den, other._den
+        g = math.gcd(a, b)
+        out = dict(self._num) if b == g else {key: n * (b // g) for key, n in self._num.items()}
+        _merge(out, other._num, sign * (a // g))
+        return type(self)._make(a // g * b, _pruned(out, other._num))  # only these can cancel
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0) - coeff
-        return type(self)._make(_pruned(out, other.terms))  # only these can cancel
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return type(self)._make({mono: -coeff for mono, coeff in self.terms.items()})
+        return type(self)._make(self._den, {key: -n for key, n in self._num.items()})
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, Rational):
             return NotImplemented
         if not scalar:
-            return type(self)._make({})
-        return type(self)._make(
-            {mono: scalar * coeff for mono, coeff in self.terms.items()}
-        )
+            return type(self).zero()
+        num = {key: scalar.numerator * n for key, n in self._num.items()}
+        return type(self)._make(*_reduced(self._den * scalar.denominator, num))
 
     __mul__ = __rmul__
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms
+        a, b, theirs = self._den, other._den, other._num
+        if a == b:
+            return self._num == theirs
+        return self._num.keys() == theirs.keys() and all(
+            n * b == theirs[key] * a for key, n in self._num.items()
+        )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        den, num = _reduced(self._den, self._num)
+        return hash((den, frozenset(num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._num)
 
     def __str__(self):
         return format_terms(self.sorted_terms(), self._render_key)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.terms!r})"
+        return f"{type(self).__name__}({dict(self.terms)!r})"
 
 
 class UElement(_SparseElement):
@@ -325,17 +370,15 @@ class UElement(_SparseElement):
 
     @classmethod
     def one(cls) -> "UElement":
-        return cls._make({ONE: 1})
+        return cls._make(1, {ONE: 1})
 
     @classmethod
     def from_letter(cls, letter: str) -> "UElement":
-        return cls._make({letter_monomial(letter): 1})
+        return cls._make(1, {letter_monomial(letter): 1})
 
     def max_degree(self) -> int:
         """Degree of the element (largest monomial degree; -1 for zero)."""
-        if not self.terms:
-            return -1
-        return max(sum(mono) for mono in self.terms)
+        return max((sum(mono) for mono in self._num), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +401,20 @@ class MalcevVector(_SparseElement):
         for v in coords:
             if not isinstance(v, Rational):
                 raise TypeError(f"coordinates must be rational, got {v!r}")
-        self.terms = {v: coeff for v, coeff in enumerate(coords) if coeff}
+        self._den, self._num = _scaled({v: coeff for v, coeff in enumerate(coords) if coeff})
 
     @property
     def coords(self) -> tuple:
-        return tuple(self.terms.get(v, 0) for v in range(5))
+        terms = self.terms
+        return tuple(terms.get(v, 0) for v in range(5))
 
     @classmethod
     def basis(cls, letter: str) -> "MalcevVector":
-        return cls._make({_letter_index(letter): 1})
+        return cls._make(1, {_letter_index(letter): 1})
 
     def u_element(self) -> "UElement":
         """The image of this vector under the canonical degree-1 embedding."""
-        return UElement._make({_UNIT[v]: coeff for v, coeff in sorted(self.terms.items())})
+        return UElement._make(self._den, {_UNIT[v]: n for v, n in sorted(self._num.items())})
 
     def __repr__(self):
         parts = [f"{coeff!s}*{LETTERS[v]}" for v, coeff in sorted(self.terms.items())]

@@ -41,6 +41,7 @@ from .core import (
     _check_monomial,
     _letter_index,
     _pruned,
+    _reduced,
     binomial,
     memoized,
     multinomial,
@@ -108,7 +109,7 @@ class Operator(_SparseElement):
 
     @classmethod
     def identity(cls) -> "Operator":
-        return cls._make({_IDENTITY_WORD: 1})
+        return cls._make(1, {_IDENTITY_WORD: 1})
 
     @classmethod
     def word(cls, mul, der, coeff=1) -> "Operator":
@@ -118,14 +119,14 @@ class Operator(_SparseElement):
     @classmethod
     def mul_by(cls, letter: str) -> "Operator":
         """The multiplication operator ``M_letter``."""
-        return cls._make({(_UNIT[_letter_index(letter)], _D0): 1})
+        return cls._make(1, {(_UNIT[_letter_index(letter)], _D0): 1})
 
     @classmethod
     def deriv(cls, letter: str) -> "Operator":
         """The derivation ``D_letter``; the central letter has no derivation."""
         if _letter_index(letter) == 4:
             raise ValueError("no derivation in the central letter e")
-        return cls._make({(ONE, _D[letter]): 1})
+        return cls._make(1, {(ONE, _D[letter]): 1})
 
     def __matmul__(self, other):
         if not isinstance(other, Operator):
@@ -134,11 +135,11 @@ class Operator(_SparseElement):
 
     def apply(self, x: UElement) -> UElement:
         """Apply the operator to an element of the polynomial space."""
-        return UElement._make(_bilinear(x.terms, self.terms, _apply_word))
+        return _bilinear(x, self, _apply_word)
 
 
-def _apply_word(mono, word) -> dict:
-    """The word ``M^mul D^der`` applied to a basis monomial (term dict)."""
+def _apply_word(mono, word) -> tuple:
+    """The word ``M^mul D^der`` applied to a basis monomial, over 1."""
     mul, der = word
     factor = 1
     for v in range(4):
@@ -146,7 +147,7 @@ def _apply_word(mono, word) -> dict:
         if k:
             factor *= math.perm(mono[v], k)
             if not factor:
-                return {}
+                return 1, {}
     new = (
         mono[0] - der[0] + mul[0],
         mono[1] - der[1] + mul[1],
@@ -154,15 +155,15 @@ def _apply_word(mono, word) -> dict:
         mono[3] - der[3] + mul[3],
         mono[4] + mul[4],
     )
-    return {new: factor}
+    return 1, {new: factor}
 
 
 # the only (contraction, weight) choice of a letter that D and M do not share
 _NO_CONTRACTION = ((0, 1),)
 
 
-def _compose_words(w1, w2) -> dict:
-    """The normal-ordered product of two words (term dict), expanded as in
+def _compose_words(w1, w2) -> tuple:
+    """The normal-ordered product of two words, over 1, expanded as in
     :func:`compose` over one ``(i, i! C(m,i) C(n,i))`` choice per letter."""
     (m1, d1), (m2, d2) = w1, w2
     choices = [
@@ -179,7 +180,7 @@ def _compose_words(w1, w2) -> dict:
              d1[3] + d2[3] - id_),
         )
         out[word] = wa * wb * wc * wd
-    return out
+    return 1, out
 
 
 def compose(f: Operator, g: Operator) -> Operator:
@@ -190,7 +191,7 @@ def compose(f: Operator, g: Operator) -> Operator:
     M^(n-i) D^(m-i)``, and distinct letters commute, so the product of two
     words expands over one contraction index per colliding letter.
     """
-    return Operator._make(_bilinear(f.terms, g.terms, _compose_words))
+    return _bilinear(f, g, _compose_words)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,8 @@ _LMUL_TABLE = {
     "e": {(_M["e"], _D0): 1},
 }
 
-_RHO = {ch: Operator._make(dict(t)) for ch, t in _RHO_TABLE.items()}
-_LMUL = {ch: Operator._make(dict(t)) for ch, t in _LMUL_TABLE.items()}
+_RHO = {ch: Operator(t) for ch, t in _RHO_TABLE.items()}
+_LMUL = {ch: Operator(t) for ch, t in _LMUL_TABLE.items()}
 
 
 def rho(letter: str) -> Operator:
@@ -240,12 +241,20 @@ def lmul(letter: str) -> Operator:
 # left multiplication by a whole monomial
 # ---------------------------------------------------------------------------
 
-@memoized
 def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     """The composed word ``L(a)^s D_a^t L(b)^u D_b^v L(c)^w D_d^x L(d)^y L(e)^z``.
 
     Rightmost factor acts first, as usual for operator products.
     """
+    counts = (s, t, u, v, w, x, y, z)
+    if not _are_exponents(counts):
+        raise ValueError(f"standard word counts must be nonnegative integers, got {counts!r}")
+    return _standard_word(*counts)
+
+
+@memoized
+def _standard_word(s, t, u, v, w, x, y, z) -> Operator:
+    """The operator of :func:`standard_word` on validated counts."""
     factors = (
         (_LMUL["a"], s),
         (Operator.deriv("a"), t),
@@ -265,28 +274,20 @@ def standard_word(s, t, u, v, w, x, y, z) -> Operator:
 
 def lb_power_closed(u: int) -> Operator:
     """Closed trinomial expansion of ``L(b)^u``."""
-    terms = {}
-    for eps in range(u + 1):
-        for zeta in range(u - eps + 1):
-            coeff = Fraction(
-                (-1) ** zeta * multinomial(u, (eps, zeta)), 3 ** (u - eps - zeta)
-            )
-            word = ((0, eps, zeta, 0, u - eps - zeta), (u - eps, 0, 0, u - eps - zeta))
-            terms[word] = terms.get(word, 0) + coeff
-    return Operator._make(_pruned(terms))
+    return Operator({
+        ((0, eps, zeta, 0, u - eps - zeta), (u - eps, 0, 0, u - eps - zeta)):
+            Fraction((-1) ** zeta * multinomial(u, (eps, zeta)), 3 ** (u - eps - zeta))
+        for eps in range(u + 1) for zeta in range(u - eps + 1)
+    })
 
 
 def ld_power_closed(y: int) -> Operator:
     """Closed trinomial expansion of ``L(d)^y``."""
-    terms = {}
-    for eta in range(y + 1):
-        for theta in range(y - eta + 1):
-            coeff = Fraction(
-                (-1) ** (y - eta) * multinomial(y, (eta, theta)), 3 ** (y - eta - theta)
-            )
-            word = ((0, 0, 0, eta, y - eta), (y - eta - theta, y - eta - theta, theta, 0))
-            terms[word] = terms.get(word, 0) + coeff
-    return Operator._make(_pruned(terms))
+    return Operator({
+        ((0, 0, 0, eta, y - eta), (y - eta - theta, y - eta - theta, theta, 0)):
+            Fraction((-1) ** (y - eta) * multinomial(y, (eta, theta)), 3 ** (y - eta - theta))
+        for eta in range(y + 1) for theta in range(y - eta + 1)
+    })
 
 
 def l_of_monomial(mono) -> Operator:
@@ -340,8 +341,7 @@ def _l_of_monomial(mono) -> Operator:
                                 word = ((i - beta, eps, zeta + k, eta - lam, rem_j + l - eta + m),
                                         (j - beta - eps + n2, n2, theta, rem_j - lam))
                                 acc[word] = acc.get(word, 0) + w * perm(eta, lam) * comb(rem_j, lam)
-    K = 2 ** (l + i) * 3 ** (j + l)
-    return Operator._make({w: Fraction(num, K) for w, num in acc.items() if num})
+    return Operator._make(*_reduced(2 ** (l + i) * 3 ** (j + l), _pruned(acc)))
 
 
 def l_of_monomial_via_factors(mono) -> Operator:

@@ -34,6 +34,8 @@ from .core import (
     _letter_index,
     _merge,
     _pruned,
+    _reduced,
+    _scaled,
     binomial,
     clear_memos,  # re-exported: envelope.clear_memos stays importable
     memoized,
@@ -82,16 +84,16 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     """
     _check_monomial(x)
     _check_monomial(y)
-    return UElement._make(_closed_terms(x, y))
+    return UElement._make(*_closed_terms(x, y))
 
 
 @memoized
-def _closed_terms(x: Monomial, y: Monomial) -> dict:
-    """The term dict of :func:`mul_u_closed` on validated monomials."""
+def _closed_terms(x: Monomial, y: Monomial) -> tuple:
+    """``(den, numerators)`` of :func:`mul_u_closed` on validated monomials."""
     if x == ONE:
-        return {y: 1}
+        return 1, {y: 1}
     if y == ONE:
-        return {x: 1}
+        return 1, {x: 1}
 
     i, j, k, l, m = x
     p, q, r, s, t = y
@@ -124,12 +126,12 @@ def _closed_terms(x: Monomial, y: Monomial) -> dict:
                         mono = (a0 - n2, b0 - n2, c0 + n2, ed, em)
                         w = w_n * comb(rest, n2) * r3[rest - n2] * pq[n2] * row[rem_j + n2]
                         acc[mono] = acc.get(mono, 0) + w
-    return {mono: Fraction(num, K) for mono, num in acc.items() if num}
+    return _reduced(K, _pruned(acc))
 
 
 def mul_u(x: UElement, y: UElement) -> UElement:
     """Bilinear product on the enveloping algebra (closed-form kernel)."""
-    return UElement._make(_bilinear(x.terms, y.terms, _closed_terms))
+    return _bilinear(x, y, _closed_terms)
 
 
 def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
@@ -149,7 +151,7 @@ def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
     for alpha in range(min(j, l) + 1):
         coeff = (-1) ** alpha * math.factorial(alpha) * binomial(j, alpha) * binomial(l, alpha)
         out[(0, 0, i + l - alpha, j + m - alpha, k + n + alpha)] = coeff
-    return UElement._make(out)
+    return UElement._make(1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def mul_u_oracle(x: UElement, y: UElement) -> UElement:
     the route the others are checked against.
     """
     try:
-        return UElement._make(_bilinear(x.terms, y.terms, _mul_mono))
+        return _bilinear(x, y, lambda kx, ky: _scaled(_mul_mono(kx, ky)))
     except RecursionError as exc:
         raise ComputationError(
             "recursive product evaluation exhausted the recursion limit; "
@@ -302,7 +304,7 @@ def bracket_u_oracle(x: UElement, letter: str) -> UElement:
     """``[x, v]`` for a generator letter ``v``, by the bracket recursion."""
     f = _letter_index(letter)
     try:
-        return UElement._make(_pruned(_bracket_dict(x.terms, f)))
+        return UElement._make(*_scaled(_pruned(_bracket_dict(x.terms, f))))
     except RecursionError as exc:
         raise ComputationError("bracket recursion exhausted the recursion limit") from exc
 

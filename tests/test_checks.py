@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from malcev5 import alternative, checks
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
 from malcev5.alternative import AElement, associator_a, type2_associator_closed
-from malcev5.core import UElement
+from malcev5.core import UElement, _scaled
 
 
 def test_suite_names_stable():
@@ -96,6 +96,20 @@ _BD, _E = (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)
 _AB, _AC, _BCD, _C2D = (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 1, 1, 0), (0, 0, 2, 1, 0)
 
 
+def planted(real, pair, change):
+    """The kernel ``real`` with ``change`` applied to the rational
+    coefficients of one pair's product; any denominator goes through."""
+
+    def faulty(x, y):
+        den, num = real(x, y)
+        if (x, y) != pair:
+            return den, num
+        out = change({m: Fraction(n, den) for m, n in num.items()})
+        return _scaled({m: c for m, c in out.items() if c})
+
+    return faulty
+
+
 @pytest.mark.parametrize(
     "pair, change, found",
     [
@@ -118,13 +132,7 @@ _AB, _AC, _BCD, _C2D = (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 1, 1, 0), (0, 0,
     ids=["sixth", "seventh", "gate", "heisenberg", "type-1"],
 )
 def test_type2_scan_catches_faulty_product(monkeypatch, pair, change, found):
-    real = checks._mul_a_mono
-
-    def faulty(x, y):
-        out = real(x, y)
-        return change(out) if (x, y) == pair else out
-
-    monkeypatch.setattr(checks, "_mul_a_mono", faulty)
+    monkeypatch.setattr(checks, "_mul_a_mono", planted(checks._mul_a_mono, pair, change))
     text = checks._compare(checks._scan_type2_closed(limit=3))
     assert text is not None and text.startswith(found)
 
@@ -145,7 +153,7 @@ def test_type2_scan_catches_faulty_closed_form(monkeypatch):
 # term of a box x box product on either side
 _BOX2 = [(i, j, k, l, 0) for i, j, k, l in product(range(2), repeat=4)]
 _REACHED2 = sorted(
-    {m for x in _BOX2 for y in _BOX2 for m in alternative._mul_a_mono(x, y)} - set(_BOX2)
+    {m for x in _BOX2 for y in _BOX2 for m in alternative._mul_a_mono(x, y)[1]} - set(_BOX2)
 )
 _PAIRS2 = (
     [(x, y) for x in _BOX2 for y in _BOX2]
@@ -178,17 +186,11 @@ _QUOTIENT2 = [m for m in product(range(3), repeat=5) if m[4] < 2 and not (m[4] a
 def test_type2_scan_is_sound(pair, term, extra, delta, recoefficient):
     # plant a changed coefficient or an extra term at one reached pair: when
     # brute force over all 4096 triples sees a wrong associator, so does the scan
-    real = alternative._mul_a_mono
-
-    def faulty(x, y):
-        out = real(x, y)
-        if (x, y) != pair:
-            return out
-        out = dict(out)
+    def change(out):
         key = sorted(out)[term % len(out)] if recoefficient and out else extra
-        out[key] = out.get(key, 0) + delta
-        return {m: c for m, c in out.items() if c}
+        return {**out, key: out.get(key, 0) + delta}
 
+    faulty = planted(alternative._mul_a_mono, pair, change)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(alternative, "_mul_a_mono", faulty)
         mp.setattr(checks, "_mul_a_mono", faulty)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from malcev5 import core, diffops, envelope
 from malcev5.core import (
@@ -269,6 +270,67 @@ def test_uelement_mixed_type_comparison():
     assert (UElement.zero() == 0) is False
 
 
+# the representation: integer numerators over one denominator, checked
+# against plain dicts of Fraction coefficients
+
+_MONOS = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 0), ONE]
+_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_DICTS = st.dictionaries(st.sampled_from(_MONOS), _COEFFS, max_size=4)
+
+
+def fraction_sum(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=_DICTS, b=_DICTS, s=st.one_of(st.integers(-3, 3), _COEFFS), k=st.integers(2, 12))
+def test_representation_matches_fraction_dicts(a, b, s, k):
+    x, y = UElement(a), UElement(b)
+    ra, rb = fraction_sum({}, a), fraction_sum({}, b)
+    for got, want in (
+        (x, ra),
+        (x + y, fraction_sum(ra, rb)),
+        (x - y, fraction_sum(ra, rb, -1)),
+        (-x, {m: -c for m, c in ra.items()}),
+        (s * x, {m: s * c for m, c in ra.items() if s}),
+        (x * s, {m: s * c for m, c in ra.items() if s}),
+    ):
+        assert got.terms == want
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
+        assert bool(got) == bool(want) and len(got) == len(want)
+    assert (x == y) == (ra == rb)
+    assert (x == y) <= (hash(x) == hash(y))
+    # equal values over different denominators: k times larger, and a sum
+    # that is not reduced
+    twin = UElement._make(x._den * k, {m: n * k for m, n in x._num.items()})
+    z = UElement({ONE: Fraction(1, k)})
+    for other in (twin, (x + z) - z):
+        assert other == x and not other != x
+        assert hash(other) == hash(x)
+        assert other.terms == ra and str(other) == str(x)
+    assert (twin == y) == (ra == rb)
+
+
+def test_coefficients_are_int_exactly_when_integral():
+    a, b = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)
+    x = UElement({a: Fraction(2), b: Fraction(1, 2)})
+    assert repr(x) == "UElement({(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): Fraction(1, 2)})"
+    assert str(x) == "2 a + 1/2 b"
+    assert [type(c) for c in x.terms.values()] == [int, Fraction]
+    assert type(x.coefficient(a)) is int and x.coefficient(b) == Fraction(1, 2)
+    # a half made whole: 2 * (1/2 a) prints its coefficient as 1
+    assert repr(2 * UElement({a: Fraction(1, 2)})) == "UElement({(1, 0, 0, 0, 0): 1})"
+    assert repr(envelope.mul_u(UElement.from_letter("b"), UElement.from_letter("a"))) == (
+        "UElement({(0, 0, 1, 0, 0): -1, (1, 1, 0, 0, 0): 1})"
+    )
+    # terms is a read-only view
+    with pytest.raises(TypeError):
+        x.terms[a] = 3
+
+
 def test_sorted_terms_graded_descending():
     x = UElement(
         {
@@ -310,7 +372,7 @@ def memoized_kernels():
         envelope._bracket_mono,
         envelope._mul_mono,
         diffops._l_of_monomial,
-        diffops.standard_word,
+        diffops._standard_word,
     ]
 
 

@@ -265,6 +265,17 @@ def test_standard_word_degenerate():
     )
 
 
+def test_standard_word_rejects_negative_count():
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        standard_word(-1, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_standard_word_rejects_bool_count():
+    standard_word(1, 0, 0, 0, 0, 0, 0, 0)  # its int twin is memoized first
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        standard_word(True, 0, 0, 0, 0, 0, 0, 0)
+
+
 def test_straightening_identity_fixed_words():
     la, ra = lmul("a"), rho("a")
     for word_exps in [
