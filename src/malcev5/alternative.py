@@ -82,8 +82,7 @@ def project(x: UElement) -> AElement:
 # ---------------------------------------------------------------------------
 
 def _mul_a_mono(x: Monomial, y: Monomial) -> tuple:
-    """Product of two quotient basis monomials, as ``(den, numerators)``:
-    over 6 when the correction term fires, over 1 otherwise."""
+    """Product of two quotient basis monomials as ``(den, numerators)``, den 6 or 1."""
     if x[4]:
         if y[4]:
             # type1 * type1: the product lands entirely in the ideal

@@ -443,34 +443,35 @@ def _scan_type2_closed(limit):
         den, prod = _mul_a_mono((*u, 0, 0, 0), (*v, 0, 0, 0))
         return den, {m: n for m, n in prod.items() if not m[4]}
 
-    def pair(x, y, h):
+    def pair(x, y, hden, h):
         den, num = _mul_a_mono(x, y)
         prod = AElement._make(den, num)
         if x[4] or y[4]:
             dead = x[4] and y[4] or x[2] or y[2]  # two type-1 factors, or a c
             concat = AElement._make(1, {} if dead else {tuple(a + b for a, b in zip(x, y)): 1})
             return "type-1 concatenation", (x, y), {"product": prod, "concatenation": concat}
-        (hden, h), k, l = h, x[2] + y[2], x[3] + y[3]
+        k, l = x[2] + y[2], x[3] + y[3]
         # H + C over hden * den
         hc = {(m[0], m[1], m[2] + k, m[3] + l, 0): n * den for m, n in h.items()}
         if not x[2] and y[2] <= 1:
             # the gate is open: C is the product's own type-1 part
             hc.update((m, n * hden) for m, n in num.items() if m[4])
-        return "H + C decomposition", (x, y), {"product": prod, "H + C": AElement._make(hden * den, hc)}
+        hc = AElement._make(hden * den, hc)
+        return "H + C decomposition", (x, y), {"product": prod, "H + C": hc}
 
     # 1: every product the associators reach, grouped by the (a,b)-parts
     reached = {m for x in box for y in box for m in _mul_a_mono(x, y)[1]}
     reached = sorted(reached.difference(box), key=term_key)
     for x in box + reached:
         for p, q in cells:
-            h = heisenberg(x[:2], (p, q))
+            hden, h = heisenberg(x[:2], (p, q))
             for r, s in cells:
-                yield pair(x, (p, q, r, s, 0), h)
+                yield pair(x, (p, q, r, s, 0), hden, h)
     for y in reached:
         for i, j in cells:
-            h = heisenberg((i, j), y[:2])
+            hden, h = heisenberg((i, j), y[:2])
             for k, l in cells:
-                yield pair((i, j, k, l, 0), y, h)
+                yield pair((i, j, k, l, 0), y, hden, h)
 
     # 2: (xy)z - x(yz) through the shipped product against the closed form,
     # where a correction can fire

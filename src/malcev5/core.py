@@ -202,8 +202,7 @@ def _merge(acc: dict, terms: dict, scale) -> None:
 
 
 def _scaled(terms: dict) -> tuple:
-    """``(den, numerators)`` of a dict of rational coefficients, ``den`` the
-    least common denominator; reduced when every coefficient is."""
+    """``(den, numerators)`` of rational coefficients, over their lcm denominator."""
     den = 1
     for coeff in terms.values():
         if den % coeff.denominator:
