@@ -117,12 +117,12 @@ def _mul_a_mono(x: Monomial, y: Monomial) -> tuple:
 
 def mul_a(x: AElement, y: AElement) -> AElement:
     """Bilinear product on the quotient (closed structure constants)."""
-    return _bilinear(x, y, _mul_a_mono)
+    return _bilinear(_mul_a_mono, (1, x, y))
 
 
 def associator_a(x: AElement, y: AElement, z: AElement) -> AElement:
     """Associator ``(xy)z - x(yz)`` on the quotient."""
-    return mul_a(mul_a(x, y), z) - mul_a(x, mul_a(y, z))
+    return _bilinear(_mul_a_mono, (1, mul_a(x, y), z), (-1, x, mul_a(y, z)))
 
 
 def type2_associator_closed(x: Monomial, y: Monomial, z: Monomial) -> AElement:

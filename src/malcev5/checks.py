@@ -30,6 +30,7 @@ from .core import (
 )
 from .diffops import (
     Operator,
+    _compose_words,
     compose,
     l_of_monomial,
     l_of_monomial_via_factors,
@@ -40,6 +41,7 @@ from .diffops import (
     standard_word,
 )
 from .envelope import (
+    _closed_terms,
     associator_u,
     bracket_u,
     bracket_u_oracle,
@@ -259,7 +261,7 @@ def _check_operators(max_degree, samples, seed):
                     continue
                 f, g = ops[k1](c1), ops[k2](c2)
                 yield "commutator table", (f"{k1}({c1})", f"{k2}({c2})"), {
-                    "commutator": compose(f, g) - compose(g, f),
+                    "commutator": _bilinear(_compose_words, (1, f, g), (-1, g, f)),
                     "table": _COMMUTATOR_TABLE.get((k1, c1, k2, c2), Operator.zero()),
                 }
 
@@ -284,12 +286,8 @@ def _check_operators(max_degree, samples, seed):
     for _ in range(100):
         s, t, u, v, w, x, y, z = (rng.randint(0, 3) for _ in range(8))
         word = standard_word(s, t, u, v, w, x, y, z)
-        lhs = (
-            2 * compose(la, word)
-            - compose(word, la)
-            - compose(word, ra)
-            + compose(ra, word)
-        )
+        pairs = ((2, la, word), (-1, word, la), (-1, word, ra), (1, ra, word))
+        lhs = _bilinear(_compose_words, *pairs)
         rhs = standard_word(s + 1, t, u, v, w, x, y, z)
         if t:
             rhs = rhs - t * standard_word(s, t - 1, u, v, w, x, y, z)
@@ -327,34 +325,32 @@ def _check_operators(max_degree, samples, seed):
 
 def _check_nucleus(max_degree, samples, seed):
     bound = max(max_degree - 1, 0)
-    monos = _monomials(bound)
+    monos = [(x, _umono(x)) for x in _monomials(bound)]
     letters = [(ch, UElement.from_letter(ch)) for ch in LETTERS]
-    for x in monos:
-        xe = _umono(x)
-        for y in monos:
-            ye = _umono(y)
+    # g x and x g for every generator g, once per monomial x
+    sides = {x: [(mul_u(ge, xe), mul_u(xe, ge)) for _, ge in letters] for x, xe in monos}
+    for x, xe in monos:
+        for y, ye in monos:
             xy = mul_u(xe, ye)
-            for ch, ge in letters:
+            for (ch, ge), (gx, xg), (gy, yg) in zip(letters, sides[x], sides[y]):
                 yield "nucleus relations", (ch, x, y), {
-                    "(g,x,y)": mul_u(mul_u(ge, xe), ye) - mul_u(ge, xy),
-                    "-(x,g,y)": mul_u(xe, mul_u(ge, ye)) - mul_u(mul_u(xe, ge), ye),
-                    "(x,y,g)": mul_u(xy, ge) - mul_u(xe, mul_u(ye, ge)),
+                    "(g,x,y)": _bilinear(_closed_terms, (1, gx, ye), (-1, ge, xy)),
+                    "-(x,g,y)": _bilinear(_closed_terms, (1, xe, gy), (-1, xg, ye)),
+                    "(x,y,g)": _bilinear(_closed_terms, (1, xy, ge), (-1, xe, yg)),
                 }
 
     # associator of two generators against anything, via commutators
-    sixth = Fraction(1, 6)
     for f_ch, fe in letters:
         for g_ch, ge in letters:
             fg = bracket_u(fe, ge)
-            for y in monos:
-                ye = _umono(y)
+            for y, ye in monos:
+                yf, yg = bracket_u(ye, fe), bracket_u(ye, ge)
                 yield "associator-commutator formula", (f_ch, g_ch, y), {
                     "associator": associator_u(fe, ge, ye),
-                    "bracket side": sixth * (
-                        bracket_u(bracket_u(ye, fe), ge)
-                        - bracket_u(bracket_u(ye, ge), fe)
-                        - bracket_u(ye, fg)
-                    ),
+                    # [[y,f],g] - [[y,g],f] - [y,[f,g]]
+                    "bracket side": Fraction(1, 6) * _bilinear(
+                        _closed_terms, (1, yf, ge), (-1, ge, yf), (-1, yg, fe), (1, fe, yg),
+                        (-1, ye, fg), (1, fg, ye)),
                 }
 
 
@@ -482,8 +478,7 @@ def _scan_type2_closed(limit):
             ze, yz = _amono(z), AElement._make(*_mul_a_mono(y, z))
             for x, xe, xy in xys:
                 yield "type-2 associator", (x, y, z), {
-                    "via mul_a": _bilinear(xy, ze, _mul_a_mono)
-                    - _bilinear(xe, yz, _mul_a_mono),
+                    "via mul_a": _bilinear(_mul_a_mono, (1, xy, ze), (-1, xe, yz)),
                     "closed form": type2_associator_closed(x, y, z),
                 }
 

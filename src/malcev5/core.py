@@ -7,12 +7,10 @@ ordered monomials ``a^i b^j c^k d^l e^m`` as a linear basis, so a monomial
 is an exponent 5-tuple and an element is a sparse map from tuples to exact
 rational coefficients.  No floating point appears anywhere in the package.
 
-An element stores its coefficients as one dict of ``int`` numerators over
-one positive ``int`` denominator, and is immutable.  Its public ``terms``
-map is a read-only view derived on access, with each coefficient an ``int``
-exactly when it is integral and a ``fractions.Fraction`` otherwise.  The
-product kernels return ``(den, numerators)`` too, and :func:`_bilinear`
-sums them over a common denominator and reduces by one ``gcd`` per product.
+An element is one dict of ``int`` numerators over one positive ``int``
+denominator, and is immutable (see :class:`_SparseElement`).  The product
+kernels return ``(den, numerators)`` too, and :func:`_bilinear` sums their
+products over a common denominator and reduces by one ``gcd`` per sum.
 
 This module owns the shared vocabulary: letters, monomials, the graded-lex
 term order, combinatorial helpers with the vanishing conventions used by the
@@ -219,29 +217,38 @@ def _reduced(den: int, num: dict) -> tuple:
     return den, num
 
 
-def _bilinear(x, y, kernel):
-    """The bilinear extension of ``kernel`` to two elements; of ``x``'s type.
+def _bilinear(kernel, *pairs):
+    """``sum sign * xy`` over ``(sign, x, y)`` pairs, of the first ``x``'s type.
 
-    ``kernel(kx, ky)`` gives the ``(den, numerators)`` of one pair of basis
-    keys.  This is the one integer loop: it sums over the least common
-    denominator of the kernel results that are not empty, and reduces the
-    sum once at the end.
+    ``xy`` extends ``kernel(kx, ky) -> (den, numerators)``, none zero.  The one
+    integer loop sums over a common multiple of each kernel's den times those
+    of ``x`` and ``y``.  A lone pair of one-term operands shares the kernel's
+    numerators (copied only to scale them), so no caller may mutate a result.
     """
-    out: dict = {}
-    den = 1
-    for kx, cx in x._num.items():
-        for ky, cy in y._num.items():
-            kden, terms = kernel(kx, ky)
-            if terms:
-                if den % kden:  # a new factor of the common denominator
-                    grow = kden // math.gcd(den, kden)
-                    for key in out:
-                        out[key] *= grow
-                    den *= grow
-                c = cx * cy * (den // kden)
-                for key, n in terms.items():
-                    out[key] = out.get(key, 0) + c * n
-    return type(x)._make(*_reduced(x._den * y._den * den, _pruned(out)))
+    sign, x, y = pairs[0]
+    if len(pairs) == 1 and len(x._num) == 1 == len(y._num):
+        ((kx, cx),), ((ky, cy),) = x._num.items(), y._num.items()
+        kden, terms = kernel(kx, ky)
+        c = sign * cx * cy
+        if c != 1:
+            terms = {key: c * n for key, n in terms.items()} if c else {}
+        return type(x)._make(*_reduced(x._den * y._den * kden, terms))
+    out, den = {}, 1
+    for sign, u, v in pairs:
+        for ku, cu in u._num.items():
+            for kv, cv in v._num.items():
+                kden, terms = kernel(ku, kv)
+                if terms:
+                    kden *= u._den * v._den
+                    if den % kden:  # a new factor of the common denominator
+                        grow = kden // math.gcd(den, kden)
+                        for key in out:
+                            out[key] *= grow
+                        den *= grow
+                    c = sign * cu * cv * (den // kden)
+                    for key, n in terms.items():
+                        out[key] = out.get(key, 0) + c * n
+    return type(x)._make(*_reduced(den, _pruned(out)))
 
 
 class _SparseElement:

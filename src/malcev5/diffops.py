@@ -135,7 +135,7 @@ class Operator(_SparseElement):
 
     def apply(self, x: UElement) -> UElement:
         """Apply the operator to an element of the polynomial space."""
-        return _bilinear(x, self, _apply_word)
+        return _bilinear(_apply_word, (1, x, self))
 
 
 def _apply_word(mono, word) -> tuple:
@@ -191,7 +191,7 @@ def compose(f: Operator, g: Operator) -> Operator:
     M^(n-i) D^(m-i)``, and distinct letters commute, so the product of two
     words expands over one contraction index per colliding letter.
     """
-    return _bilinear(f, g, _compose_words)
+    return _bilinear(_compose_words, (1, f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def _closed_terms(x: Monomial, y: Monomial) -> tuple:
 
 def mul_u(x: UElement, y: UElement) -> UElement:
     """Bilinear product on the enveloping algebra (closed-form kernel)."""
-    return _bilinear(x, y, _closed_terms)
+    return _bilinear(_closed_terms, (1, x, y))
 
 
 def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
@@ -292,7 +292,7 @@ def mul_u_oracle(x: UElement, y: UElement) -> UElement:
     the route the others are checked against.
     """
     try:
-        return _bilinear(x, y, lambda kx, ky: _scaled(_mul_mono(kx, ky)))
+        return _bilinear(lambda kx, ky: _scaled(_mul_mono(kx, ky)), (1, x, y))
     except RecursionError as exc:
         raise ComputationError(
             "recursive product evaluation exhausted the recursion limit; "
@@ -315,21 +315,19 @@ def bracket_u_oracle(x: UElement, letter: str) -> UElement:
 
 def bracket_u(x: UElement, y: UElement) -> UElement:
     """Commutator ``xy - yx``."""
-    return mul_u(x, y) - mul_u(y, x)
+    return _bilinear(_closed_terms, (1, x, y), (-1, y, x))
 
 
 def associator_u(x: UElement, y: UElement, z: UElement) -> UElement:
     """Associator ``(xy)z - x(yz)``."""
-    return mul_u(mul_u(x, y), z) - mul_u(x, mul_u(y, z))
+    return _bilinear(_closed_terms, (1, mul_u(x, y), z), (-1, x, mul_u(y, z)))
 
 
 def jacobian_u(x: UElement, y: UElement, z: UElement) -> UElement:
     """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] on the enveloping algebra."""
-    return (
-        bracket_u(bracket_u(x, y), z)
-        + bracket_u(bracket_u(y, z), x)
-        + bracket_u(bracket_u(z, x), y)
-    )
+    xy, yz, zx = bracket_u(x, y), bracket_u(y, z), bracket_u(z, x)
+    pairs = ((1, xy, z), (-1, z, xy), (1, yz, x), (-1, x, yz), (1, zx, y), (-1, y, zx))
+    return _bilinear(_closed_terms, *pairs)
 
 
 def embed(v: MalcevVector) -> UElement:

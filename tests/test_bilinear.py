@@ -3,14 +3,20 @@ operator application, and the rule that zero coefficients are never stored.
 
 Exact cancellations check the rule on every result path; a small
 property-based test compares the three product routes on random rational
-elements and checks bilinearity with a scalar that is not a unit.
+elements and checks bilinearity with a scalar that is not a unit.  The
+fused sums of products are checked against their one-pair products over
+every kernel, and the one-pair fast path, which can share a memoized
+kernel dict, against the general loop and against mutation.
 """
 
+import math
+from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from malcev5 import (
+    AElement,
     Operator,
     UElement,
     compose,
@@ -21,6 +27,10 @@ from malcev5 import (
     parse_element,
     project,
 )
+from malcev5.alternative import _mul_a_mono, in_ideal_j
+from malcev5.core import _bilinear
+from malcev5.diffops import _apply_word, _compose_words
+from malcev5.envelope import _closed_terms
 
 
 def assert_no_zero_stored(el):
@@ -96,3 +106,88 @@ def test_product_routes_and_bilinearity(x, y, z, s):
     px, py, pz = project(x), project(y), project(z)
     assert mul_a(px + s * py, pz) == mul_a(px, pz) + s * mul_a(py, pz)
     assert mul_a(px, py + s * pz) == mul_a(px, py) + s * mul_a(px, pz)
+
+
+# ---------------------------------------------------------------------------
+# fused sums of products over every kernel
+
+QUOTIENT = [m for m in MONOMIALS if not in_ideal_j(m)]
+WORDS = [(mul, der) for mul in product(range(2), repeat=5) for der in product(range(3), repeat=4)
+         if sum(mul) + sum(der) <= 3]
+
+
+def sparse(cls, keys, max_size=3):
+    keys = st.sampled_from(keys)
+    return st.dictionaries(keys, coefficients, min_size=1, max_size=max_size).map(cls)
+
+
+# kernel -> (left operand, right operand)
+KERNELS = {
+    "closed": (_closed_terms, (UElement, MONOMIALS), (UElement, MONOMIALS)),
+    "quotient": (_mul_a_mono, (AElement, QUOTIENT), (AElement, QUOTIENT)),
+    "apply": (_apply_word, (UElement, MONOMIALS), (Operator, WORDS)),
+    "compose": (_compose_words, (Operator, WORDS), (Operator, WORDS)),
+}
+
+
+def assert_canonical(el):
+    """No zero numerator, a positive reduced denominator, 1 for zero."""
+    assert all(el._num.values()), repr(el)
+    assert el._den > 0 and math.gcd(el._den, *el._num.values()) == 1, repr(el)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(KERNELS)), data=st.data())
+def test_fused_sum_is_the_sum_of_its_products(name, data):
+    kernel, left, right = KERNELS[name]
+    pair = st.tuples(st.integers(-3, 3), sparse(*left), sparse(*right))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+    if data.draw(st.booleans()):  # take one pair back, so that its terms cancel
+        sign, x, y = pairs[0]
+        pairs.append((-sign, x, y))
+    got = _bilinear(kernel, *pairs)
+    want = sum((sign * _bilinear(kernel, (1, x, y)) for sign, x, y in pairs), type(got).zero())
+    assert got == want
+    assert_canonical(got)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(KERNELS)), sign=st.integers(-3, 3), data=st.data())
+def test_fast_path_matches_the_general_loop(name, sign, data):
+    kernel, left, right = KERNELS[name]
+    x, y = data.draw(sparse(*left, max_size=1)), data.draw(sparse(*right, max_size=1))
+    fast = _bilinear(kernel, (sign, x, y))
+    loop = _bilinear(kernel, (sign, x, y), (0, x, y))  # a second pair takes the loop
+    assert (fast._den, fast._num) == (loop._den, loop._num)
+    assert_canonical(fast)
+
+
+def test_fast_path_zero_products():
+    # D_b kills a, type 1 times type 1 is zero, and a zero sign: den 1 each time
+    half_a = UElement({(1, 0, 0, 0, 0): Fraction(1, 2)})
+    zeros = [
+        _bilinear(_apply_word, (1, half_a, Operator.deriv("b"))),
+        _bilinear(_mul_a_mono, (1, AElement({(0, 0, 0, 0, 1): Fraction(2, 3)}),
+                                AElement.from_letter("e"))),
+        _bilinear(_closed_terms, (0, half_a, UElement.from_letter("b"))),
+    ]
+    for got in zeros:
+        assert (got._den, got._num) == (1, {})
+
+
+def test_fast_path_product_leaves_the_memo_intact():
+    # a fast-path product of two monomials shares _closed_terms's cached dict
+    x, y = (1, 1, 0, 1, 0), (0, 1, 1, 1, 0)
+    den, cached = _closed_terms(x, y)
+    before = dict(cached)
+    assert den != 1 and len(cached) > 1
+    p = mul_u(UElement.from_monomial(x), UElement.from_monomial(y))
+    assert p._num is cached
+    q = UElement({(0, 0, 0, 0, 1): Fraction(1, 5), next(iter(cached)): 7})
+    results = [
+        p + p, p + q, q + p, p - p, p - q, q - p, -p, 3 * p, p * Fraction(2, 3), 0 * p,
+        project(p), p == q, p == p, hash(p), str(p), repr(p), dict(p.terms),
+        mul_u(2 * UElement.from_monomial(x), UElement.from_monomial(y)),
+    ]
+    assert _closed_terms(x, y) == (den, before)
+    assert cached == before and results[3] == UElement.zero()

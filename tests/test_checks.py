@@ -204,6 +204,53 @@ def test_type2_scan_is_sound(pair, term, extra, delta, recoefficient):
 
 
 # ---------------------------------------------------------------------------
+# the nucleus suite hoists g x, x g, g y and y g out of its inner loops
+
+
+def test_nucleus_claim_counts():
+    counts = Counter(what for what, _, _ in checks._check_nucleus(4, 0, 0))
+    assert counts == {"nucleus relations": 15680, "associator-commutator formula": 1400}
+
+
+def faulty_product(real, pair):
+    """The element product ``real`` with ``e`` added to the product of one pair."""
+    e = UElement.from_letter("e")
+
+    def faulty(x, y):
+        out = real(x, y)
+        return out + e if (x, y) == pair else out
+
+    return faulty
+
+
+_UA, _UB = UElement.from_letter("a"), UElement.from_letter("b")
+
+
+@pytest.mark.parametrize(
+    "name, fault, found",
+    [
+        # the first claim to see a hoisted product of b and a is (g, x, y) = (a, 1, b)
+        # b * a = ab - c, hoisted as y g there
+        ("mul_u", lambda: faulty_product(checks.mul_u, (_UB, _UA)),
+         "nucleus relations mismatch on (a, 1, b): (g,x,y) = 0; -(x,g,y) = 0; (x,y,g) = -e"),
+        # a * b = ab, hoisted as g y there
+        ("mul_u", lambda: faulty_product(checks.mul_u, (_UA, _UB)),
+         "nucleus relations mismatch on (a, 1, b): (g,x,y) = 0; -(x,g,y) = e; (x,y,g) = 0"),
+        # the kernel of the fused sums at the monomials b and a, in (1 b) a
+        ("_closed_terms", lambda: planted(checks._closed_terms, (_B, _A),
+                                          lambda out: {**out, _E: out.get(_E, 0) + 1}),
+         "nucleus relations mismatch on (a, 1, b): (g,x,y) = 0; -(x,g,y) = 0; (x,y,g) = e"),
+    ],
+    ids=["y-times-g", "g-times-y", "kernel"],
+)
+def test_nucleus_reports_a_planted_fault(monkeypatch, name, fault, found):
+    monkeypatch.setattr(checks, name, fault())
+    report = run_suite("nucleus", max_degree=4)
+    assert not report.passed
+    assert report.counterexample == found
+
+
+# ---------------------------------------------------------------------------
 # the claim runner
 
 
