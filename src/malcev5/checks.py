@@ -21,6 +21,7 @@ from .core import (
     LETTERS,
     MalcevVector,
     UElement,
+    _are_exponents,
     _bilinear,
     bracket_m,
     format_monomial,
@@ -590,10 +591,10 @@ def run_suite(name, max_degree=5, samples=1000, seed=0) -> CheckReport:
         fn = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown check suite {name!r}; expected one of {SUITE_NAMES}") from None
-    if max_degree < 0 or samples < 0:
+    if not _are_exponents((max_degree, samples)):
         raise ValueError(
-            f"max_degree and samples must be nonnegative, got max_degree={max_degree}, "
-            f"samples={samples}"
+            f"max_degree and samples must be nonnegative integers, got "
+            f"max_degree={max_degree!r}, samples={samples!r}"
         )
     start = time.perf_counter()
     counterexample = _compare(fn(max_degree, samples, seed))

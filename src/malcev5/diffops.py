@@ -43,7 +43,6 @@ from .core import (
     _pruned,
     _reduced,
     binomial,
-    memoized,
     multinomial,
 )
 
@@ -249,12 +248,6 @@ def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     counts = (s, t, u, v, w, x, y, z)
     if not _are_exponents(counts):
         raise ValueError(f"standard word counts must be nonnegative integers, got {counts!r}")
-    return _standard_word(*counts)
-
-
-@memoized
-def _standard_word(s, t, u, v, w, x, y, z) -> Operator:
-    """The operator of :func:`standard_word` on validated counts."""
     factors = (
         (_LMUL["a"], s),
         (Operator.deriv("a"), t),
@@ -274,6 +267,8 @@ def _standard_word(s, t, u, v, w, x, y, z) -> Operator:
 
 def lb_power_closed(u: int) -> Operator:
     """Closed trinomial expansion of ``L(b)^u``."""
+    if not _are_exponents((u,)):
+        raise ValueError(f"power of L(b) must be a nonnegative integer, got {u!r}")
     return Operator({
         ((0, eps, zeta, 0, u - eps - zeta), (u - eps, 0, 0, u - eps - zeta)):
             Fraction((-1) ** zeta * multinomial(u, (eps, zeta)), 3 ** (u - eps - zeta))
@@ -283,6 +278,8 @@ def lb_power_closed(u: int) -> Operator:
 
 def ld_power_closed(y: int) -> Operator:
     """Closed trinomial expansion of ``L(d)^y``."""
+    if not _are_exponents((y,)):
+        raise ValueError(f"power of L(d) must be a nonnegative integer, got {y!r}")
     return Operator({
         ((0, 0, 0, eta, y - eta), (y - eta - theta, y - eta - theta, theta, 0)):
             Fraction((-1) ** (y - eta) * multinomial(y, (eta, theta)), 3 ** (y - eta - theta))
@@ -308,12 +305,6 @@ def l_of_monomial(mono) -> Operator:
     ``max(0, beta-alpha) <= gamma <= beta`` to ``g``.
     """
     _check_monomial(mono)
-    return _l_of_monomial(mono)
-
-
-@memoized
-def _l_of_monomial(mono) -> Operator:
-    """The operator of :func:`l_of_monomial` on a validated monomial."""
     i, j, k, l, m = mono
     comb, perm = math.comb, math.perm
     acc: dict = {}

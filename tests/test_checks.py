@@ -46,7 +46,13 @@ def test_unknown_suite():
 
 @pytest.mark.parametrize(
     "name, max_degree, samples",
-    [("malcev", 2, -5), ("oracle", -3, 1000), ("special", -1, -1)],
+    [
+        ("malcev", 2, -5),
+        ("oracle", -3, 1000),
+        ("special", -1, -1),
+        ("special", True, False),
+        ("malcev", 2.5, 12),
+    ],
 )
 def test_negative_parameters_rejected(name, max_degree, samples):
     with pytest.raises(ValueError, match="must be nonnegative"):

@@ -371,8 +371,6 @@ def memoized_kernels():
         envelope._lmul_letter,
         envelope._bracket_mono,
         envelope._mul_mono,
-        diffops._l_of_monomial,
-        diffops._standard_word,
     ]
 
 
@@ -380,9 +378,6 @@ def fill_memos():
     abd = UElement.from_monomial((1, 1, 0, 1, 0))
     envelope.associator_u(abd, abd, abd)
     envelope.mul_u_oracle(abd, abd)
-    for mono in ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (1, 1, 0, 1, 0)):
-        diffops.l_of_monomial(mono)
-    diffops.l_of_monomial_via_factors((1, 1, 0, 1, 0))  # several standard words
 
 
 def test_clear_memos_empties_every_table():
@@ -394,3 +389,12 @@ def test_clear_memos_empties_every_table():
     clear_memos()
     assert all(cached.cache_info().currsize == 0 for cached in kernels)
     assert envelope.clear_memos is clear_memos
+
+
+def test_operator_route_reads_no_memo():
+    clear_memos()
+    for mono in ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (1, 1, 0, 1, 0)):
+        diffops.l_of_monomial(mono).apply(UElement.from_monomial(mono))
+    diffops.l_of_monomial_via_factors((1, 1, 0, 1, 0))
+    diffops.standard_word(1, 1, 1, 1, 1, 1, 1, 1)
+    assert all(cached.cache_info().currsize == 0 for cached in core._MEMOIZED)

@@ -257,6 +257,13 @@ def test_power_expansions_small():
         assert ld_power_closed(n) == acc
 
 
+@pytest.mark.parametrize("power", [lb_power_closed, ld_power_closed], ids=["lb", "ld"])
+@pytest.mark.parametrize("bad", [-1, True, 1.0], ids=["negative", "bool", "float"])
+def test_power_closed_rejects_bad_exponent(power, bad):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        power(bad)
+
+
 def test_standard_word_degenerate():
     assert standard_word(0, 0, 0, 0, 0, 0, 0, 0) == Operator.identity()
     assert standard_word(1, 0, 0, 0, 0, 0, 0, 0) == lmul("a")
@@ -271,7 +278,7 @@ def test_standard_word_rejects_negative_count():
 
 
 def test_standard_word_rejects_bool_count():
-    standard_word(1, 0, 0, 0, 0, 0, 0, 0)  # its int twin is memoized first
+    standard_word(1, 0, 0, 0, 0, 0, 0, 0)  # accepted, though True == 1
     with pytest.raises(ValueError, match="nonnegative integers"):
         standard_word(True, 0, 0, 0, 0, 0, 0, 0)
 
