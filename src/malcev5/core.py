@@ -145,22 +145,22 @@ def format_monomial(mono: Monomial) -> str:
 
 
 def format_terms(sorted_items, render=format_monomial) -> str:
-    """Render ``[(key, coeff), ...]`` (already ordered) as canonical text.
+    """Render ``[(key, coeff_text), ...]`` (already ordered) as canonical text.
 
-    ``render`` turns a key into text; a key that renders as ``1`` (the unit)
-    prints as its bare coefficient.
+    ``coeff_text`` is a nonzero rational in lowest terms as ``str(Fraction)``
+    writes it (``"-3/4"``, ``"2"``).  ``render`` turns a key into text; a key
+    that renders as ``1`` (the unit) prints as its bare coefficient.
     """
     if not sorted_items:
         return "0"
     chunks = []
     for n, (key, coeff) in enumerate(sorted_items):
-        coeff = Fraction(coeff)
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
+        neg = coeff[0] == "-"
+        mag = coeff[1:] if neg else coeff
         word = render(key)
         if word == "1":
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = word
         else:
             body = f"{mag} {word}"
@@ -314,6 +314,23 @@ class _SparseElement:
         key = self._term_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
+    def _display_terms(self) -> list:
+        """``(key, coeff_text)`` in display order, as :func:`format_terms` takes.
+
+        Each coefficient is reduced by one ``gcd``, which a sum needs: sums
+        do not reduce ``_den``.  No ``Fraction`` is built.
+        """
+        den, num = self._den, self._num
+        keys = sorted(num, key=self._term_key, reverse=True)
+        if den == 1:
+            return [(key, str(num[key])) for key in keys]
+        out = []
+        for key in keys:
+            n = num[key]
+            g = math.gcd(n, den)
+            out.append((key, str(n // g) if g == den else f"{n // g}/{den // g}"))
+        return out
+
     def coefficient(self, mono) -> Rational:
         return self.terms.get(mono, 0)
 
@@ -363,7 +380,7 @@ class _SparseElement:
         return len(self._num)
 
     def __str__(self):
-        return format_terms(self.sorted_terms(), self._render_key)
+        return format_terms(self._display_terms(), self._render_key)
 
     def __repr__(self):
         return f"{type(self).__name__}({dict(self.terms)!r})"

@@ -1,6 +1,6 @@
 """Parsing and structured output of element expressions.
 
-Grammar (whitespace allowed between tokens)::
+Grammar::
 
     element  :=  ['+'|'-'] term ( ('+'|'-') term )*
     term     :=  rational ['*'] [monomial]  |  monomial
@@ -9,24 +9,36 @@ Grammar (whitespace allowed between tokens)::
     factor   :=  letter ['^' uint]
     uint     :=  ('0'..'9')+
 
+Whitespace (any character for which ``str.isspace()`` holds) is allowed at
+either end, around the signs, ``/`` and ``*``, and between a coefficient and
+its monomial; nowhere else.  So ``2 a`` and ``a * b`` are valid, while
+``1 2``, ``a ^2``, ``a^ 2`` and ``a b`` are errors.  ``a^0`` reads as ``1``.
 Letters are ``a..e`` and must appear in strictly increasing order within a
 monomial: ``ba`` is rejected rather than silently reordered, because the
 generators do not commute and ``ba != ab``.  Both ASCII ``-`` and the
 typographic minus U+2212 are accepted on input; output always uses ASCII.
 Errors carry the UTF-8 byte offset of the offending token.
+
+Parsing sums the terms as ``int`` numerators over one common denominator,
+and ``str`` and :func:`element_json` render from the element's numerators;
+neither builds a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
+import re
 
-from .core import LETTER_INDEX, UElement
+from .core import LETTER_INDEX, ONE, UElement, _pruned, _reduced
 
 _MINUS = {"-", "−"}
 _SIGNS = {"+"} | _MINUS
 # ASCII only: str.isdigit() also admits "²", which int() rejects
 _DIGITS = frozenset("0123456789")
+_UINT = re.compile("[0-9]*").match
+# \s is exactly str.isspace(); the tests check every code point
+_WS = re.compile(r"\s*").match
 
 
 class ParseError(ValueError):
@@ -38,123 +50,128 @@ class ParseError(ValueError):
 
 
 class _Parser:
+    """One pass over ``text``; ``i`` is the position of the next character.
+
+    Each rule reads from ``i`` and leaves it just past what it consumed.
+    Whitespace and digit runs are read by the compiled patterns, and the
+    terms are summed as ``int`` numerators over one common denominator.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.n = len(text)
         self.i = 0
 
     def fail(self, message: str, pos: int | None = None):
         raise ParseError(message, self.text, self.i if pos is None else pos)
 
-    def skip_ws(self):
-        while self.i < self.n and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < self.n else ""
-
     def uint(self, what: str) -> int:
-        start = self.i
-        while self.i < self.n and self.text[self.i] in _DIGITS:
-            self.i += 1
-        if self.i == start:
+        text, start = self.text, self.i
+        self.i = end = _UINT(text, start).end()
+        if end == start:
             self.fail(f"expected {what}", start)
         try:
-            return int(self.text[start:self.i])
+            return int(text[start:end])
         except ValueError:  # past sys.get_int_max_str_digits()
             self.fail(f"too many digits in {what}", start)
 
-    def rational(self) -> Fraction:
+    def rational(self) -> tuple:
+        """``(num, den)`` with ``den > 0``, not reduced."""
         num = self.uint("a number")
-        save = self.i
-        self.skip_ws()
-        if self.peek() == "/":
-            self.i += 1
-            self.skip_ws()
-            den_pos = self.i
+        text = self.text
+        j = _WS(text, self.i).end()
+        if text[j:j + 1] == "/":
+            self.i = den_pos = _WS(text, j + 1).end()
             den = self.uint("a denominator")
             if den == 0:
                 self.fail("zero denominator", den_pos)
-            return Fraction(num, den)
-        self.i = save
-        return Fraction(num)
+            return num, den
+        return num, 1
 
     def monomial(self) -> tuple:
+        text, i = self.text, self.i
         exps = [0, 0, 0, 0, 0]
         last = -1
         while True:
-            pos = self.i
-            ch = self.peek()
+            ch = text[i:i + 1]
             v = LETTER_INDEX.get(ch)
             if v is None:
-                self.fail(
-                    f"unknown generator {ch!r}; expected one of a, b, c, d, e", pos
-                )
+                self.fail(f"unknown generator {ch!r}; expected one of a, b, c, d, e", i)
             if v <= last:
-                self.fail("monomial letters must be in order a..e", pos)
+                self.fail("monomial letters must be in order a..e", i)
             last = v
-            self.i += 1
-            exp = 1
-            if self.peek() == "^":
-                self.i += 1
-                exp = self.uint("an exponent after '^'")
-            exps[v] = exp
+            i += 1
+            if text[i:i + 1] == "^":
+                self.i = i + 1
+                exps[v] = self.uint("an exponent after '^'")
+                i = self.i
+            else:
+                exps[v] = 1
             # another factor? '*' (spaces allowed) or direct juxtaposition
-            save = self.i
-            self.skip_ws()
-            if self.peek() == "*":
-                self.i += 1
-                self.skip_ws()
+            j = _WS(text, i).end()
+            if text[j:j + 1] == "*":
+                i = _WS(text, j + 1).end()
                 continue
-            self.i = save
-            if self.peek() in LETTER_INDEX:
+            if text[i:i + 1] in LETTER_INDEX:
                 continue
+            self.i = i
             return tuple(exps)
 
-    def term(self):
-        ch = self.peek()
+    def term(self) -> tuple:
+        """``(num, den, monomial)`` of the unsigned term at ``i``."""
+        text = self.text
+        ch = text[self.i:self.i + 1]
         if ch in _DIGITS:
-            coeff = self.rational()
-            save = self.i
-            self.skip_ws()
-            if self.peek() == "*":
-                self.i += 1
-                self.skip_ws()
-                if self.peek() not in LETTER_INDEX:
+            num, den = self.rational()
+            j = _WS(text, self.i).end()
+            ch = text[j:j + 1]
+            if ch == "*":
+                self.i = j = _WS(text, j + 1).end()
+                if text[j:j + 1] not in LETTER_INDEX:
                     self.fail("expected a monomial after '*'")
-                return coeff, self.monomial()
-            if self.peek() in LETTER_INDEX:
-                return coeff, self.monomial()
-            self.i = save
-            return coeff, (0, 0, 0, 0, 0)
+                return num, den, self.monomial()
+            if ch in LETTER_INDEX:
+                self.i = j
+                return num, den, self.monomial()
+            return num, den, ONE
         if ch in LETTER_INDEX:
-            return Fraction(1), self.monomial()
+            return 1, 1, self.monomial()
         if ch.isalpha():
             self.fail(f"unknown generator {ch!r}; expected one of a, b, c, d, e")
         self.fail("expected a term" if ch else "unexpected end of input")
 
     def parse(self, cls):
-        self.skip_ws()
-        if self.i == self.n:
-            self.fail("empty expression")
-        terms = []
+        text = self.text
+        n = len(text)
+        i = _WS(text, 0).end()
+        if i == n:
+            self.fail("empty expression", i)
+        den, acc = 1, {}
         first = True
         while True:
-            self.skip_ws()
-            if self.i == self.n:
+            i = _WS(text, i).end()
+            if i == n:
                 break
-            ch = self.peek()
+            ch = text[i]
             sign = 1
             if ch in _SIGNS:
-                sign = -1 if ch in _MINUS else 1
-                self.i += 1
-                self.skip_ws()
+                if ch in _MINUS:
+                    sign = -1
+                i = _WS(text, i + 1).end()
             elif not first:
-                self.fail("expected '+' or '-' between terms")
-            coeff, mono = self.term()
-            terms.append((mono, sign * coeff))
+                self.fail("expected '+' or '-' between terms", i)
+            self.i = i
+            num, q, mono = self.term()
+            i = self.i
+            if den % q:  # a new factor of the common denominator
+                grow = q // math.gcd(den, q)
+                for key in acc:
+                    acc[key] *= grow
+                den *= grow
+            acc[mono] = acc.get(mono, 0) + sign * num * (den // q)
             first = False
-        return cls(terms)
+        for mono in acc:  # before pruning: a cancelled term must be a basis term too
+            cls._check_basis(mono)
+        return cls._make(*_reduced(den, _pruned(acc)))
 
 
 def parse_element(text: str, cls=UElement):
@@ -175,8 +192,8 @@ def element_json(el, with_type: bool = False) -> str:
     (1 or 2) for elements of the alternative quotient.
     """
     out = []
-    for mono, coeff in el.sorted_terms():
-        item = {"coeff": str(Fraction(coeff)), "exp": list(mono)}
+    for mono, coeff in el._display_terms():
+        item = {"coeff": coeff, "exp": list(mono)}
         if with_type:
             item["type"] = 1 if mono[4] else 2
         out.append(item)

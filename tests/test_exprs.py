@@ -5,12 +5,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from _reference_parser import ReferenceParseError, reference_parse
 from hypothesis import given, settings, strategies as st
 
 from malcev5.alternative import AElement
 from malcev5.core import UElement
+from malcev5.diffops import Operator
 from malcev5.envelope import associator_u, mul_u
-from malcev5.exprs import ParseError, element_json, parse_element
+from malcev5.exprs import _WS, ParseError, element_json, parse_element
 
 U = UElement.from_monomial
 
@@ -287,3 +289,152 @@ def test_parse_malformed_input(base, edits):
         text = _edit(text, *edit)
     for mutant in (text, *_neighbours(text)):
         _check_parse(mutant)
+
+
+# ---------------------------------------------------------------------------
+# the parser against its frozen character-at-a-time reference
+
+
+def _outcome(parse, text, cls):
+    # the element's exact (den, numerators), or the error's kind, message
+    # and offset; ParseError is tested first, as it is a ValueError
+    try:
+        x = parse(text, cls)
+    except (ParseError, ReferenceParseError) as exc:
+        return "ParseError", str(exc), exc.offset
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return type(x), x._den, x._num
+
+
+def _same_as_reference(text):
+    for cls in (UElement, AElement):
+        assert _outcome(parse_element, text, cls) == _outcome(reference_parse, text, cls), (
+            text, cls.__name__)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.sampled_from(_SEED_TEXTS) | u_elements.map(str) | a_elements.map(str),
+    edits=edits,
+)
+def test_parser_matches_reference(base, edits):
+    text = base
+    for edit in edits:
+        text = _edit(text, *edit)
+    for mutant in (text, *_neighbours(text)):
+        _same_as_reference(mutant)
+
+
+def test_parser_matches_reference_on_edge_texts():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 5000
+    texts = [
+        "ce - ce", "0 ce", "a + ce - ce", "e^2 + 1/0",  # basis checks, before pruning
+        "2/4 a + 1/4 a", "1/2 a - 1/2 a", "3/6", "0/5 b", "a^0", "a^0b^0",
+        "a ^2", "a^ 2", "a b", "2 3", "1 / 2 * a * b", "2 *\tab", "a*", "2*", "2 * 3",
+        "1" * (limit + 1) + " a", "a^" + "2" * (limit + 1), "1/" + "3" * (limit + 1),
+        "", "  ", "−", "+ −a", "a −− b", "1 − f", "é", "²", "a²", "a\u3000+\x85b",
+    ]
+    for text in texts:
+        _same_as_reference(text)
+
+
+# ---------------------------------------------------------------------------
+# whitespace is exactly str.isspace()
+
+_CODE_POINTS = range(sys.maxunicode + 1)
+_SPACES = [chr(cp) for cp in _CODE_POINTS if chr(cp).isspace()]
+
+
+def test_whitespace_pattern_is_isspace():
+    # the one pattern the parser skips whitespace with, over every code point
+    assert [chr(cp) for cp in _CODE_POINTS if _WS(chr(cp)).end()] == _SPACES
+
+
+@pytest.mark.parametrize("space", _SPACES, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_whitespace_allowed_exactly_where_the_grammar_says(space):
+    s = space
+    # around signs, '/' and '*', and between a coefficient and its monomial
+    text = f"{s}-{s}1{s}/{s}2{s}*{s}a{s}*{s}b^2{s}+{s}3{s}cd{s}−{s}4{s}"
+    assert parse_element(text) == parse_element("-1/2 ab^2 + 3 cd - 4")
+    # not inside a number, after a letter before '^', after '^', nor between
+    # the factors of a monomial without '*'
+    for text in (f"1{s}2", f"a{s}^2", f"a^{s}2", f"a{s}b", f"2a{s}b"):
+        with pytest.raises(ParseError):
+            parse_element(text)
+
+
+def test_no_other_code_point_is_whitespace():
+    # "a?*b" reads as ab exactly when '?' is skipped: a digit, letter, sign,
+    # '^', '*' or '/' there is a parse error
+    ab = parse_element("ab")
+    for ch in [*map(chr, range(0x3100)), "\u180e", "\u200b", "\u2060", "\ufeff", "\U000e0020"]:
+        try:
+            got = parse_element(f"a{ch}*b")
+        except ParseError:
+            got = None
+        assert (got == ab) is ch.isspace(), f"U+{ord(ch):04X}"
+
+
+# ---------------------------------------------------------------------------
+# str and JSON against a Fraction-based renderer
+
+
+def _reference_str(x):
+    # the renderer that str used before it read the numerators
+    chunks = []
+    for key, coeff in x.sorted_terms():
+        coeff = Fraction(coeff)
+        mag, word = abs(coeff), x._render_key(key)
+        body = str(mag) if word == "1" else word if mag == 1 else f"{mag} {word}"
+        if chunks:
+            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
+        else:
+            chunks.append(f"-{body}" if coeff < 0 else body)
+    return "".join(chunks) or "0"
+
+
+def _reference_json(x, with_type):
+    out = []
+    for mono, coeff in x.sorted_terms():
+        item = {"coeff": str(Fraction(coeff)), "exp": list(mono)}
+        if with_type:
+            item["type"] = 1 if mono[4] else 2
+        out.append(item)
+    return json.dumps(out)
+
+
+# integral and negative coefficients on every key type, and sums and
+# differences, which do not reduce their denominator
+mixed = coefficients | st.integers(-5, 5)
+words = st.tuples(st.tuples(exps, exps, exps, exps, exps), st.tuples(exps, exps, exps, exps))
+_ELEMENTS = (
+    st.dictionaries(st.tuples(exps, exps, exps, exps, exps), mixed, max_size=4).map(UElement),
+    st.dictionaries(a_monomials, mixed, max_size=4).map(AElement),
+    st.dictionaries(words, mixed, max_size=4).map(Operator),
+)
+
+
+def _sums(elements):
+    pairs = st.tuples(elements, elements)
+    return (elements | elements.map(lambda x: x + x)
+            | pairs.map(lambda p: p[0] + p[1]) | pairs.map(lambda p: p[0] - p[1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x=st.one_of(*map(_sums, _ELEMENTS)))
+def test_str_and_json_match_fraction_renderer(x):
+    assert str(x) == _reference_str(x)
+    for with_type in (False, True) if type(x) is AElement else (False,):
+        assert element_json(x, with_type=with_type) == _reference_json(x, with_type)
+
+
+def test_str_reduces_each_coefficient_of_a_sum():
+    half_a = Fraction(1, 2) * U((1, 0, 0, 0, 0))
+    x = half_a + half_a + Fraction(1, 2) * UElement.one() + Fraction(3, 2) * UElement.one()
+    assert x._den == 2  # the sum kept its denominator
+    assert str(x) == _reference_str(x) == "a + 2"
+    assert json.loads(element_json(x)) == [
+        {"coeff": "1", "exp": [1, 0, 0, 0, 0]},
+        {"coeff": "2", "exp": [0, 0, 0, 0, 0]},
+    ]
