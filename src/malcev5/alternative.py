@@ -55,8 +55,7 @@ class AElement(_SparseElement):
     __slots__ = ()
 
     @staticmethod
-    def _check_basis(mono) -> None:
-        _SparseElement._check_basis(mono)
+    def _check_member(mono) -> None:
         if in_ideal_j(mono):
             raise ValueError(
                 f"{mono!r} lies in the alternator ideal and is not a basis "

@@ -264,7 +264,8 @@ class _SparseElement:
     ``_num`` after construction, which is what makes every value here safe
     to share across threads and to memoize.  The keys are monomials by
     default; a subclass over other keys overrides ``_check_basis``, the
-    display order ``_term_key`` and the renderer ``_render_key``.
+    display order ``_term_key`` and the renderer ``_render_key``, and one
+    over some of the monomials overrides ``_check_member``.
     """
 
     __slots__ = ("_num", "_den")
@@ -282,9 +283,18 @@ class _SparseElement:
             data[mono] = data.get(mono, 0) + coeff
         self._den, self._num = _scaled(_pruned(data))
 
-    @staticmethod
-    def _check_basis(mono) -> None:
+    @classmethod
+    def _check_basis(cls, mono) -> None:
         _check_monomial(mono)
+        cls._check_member(mono)
+
+    @staticmethod
+    def _check_member(mono) -> None:
+        """Raise ``ValueError`` if the well-formed ``mono`` is not a basis key.
+
+        Every monomial is one here.  The parser builds well-formed monomials,
+        so it calls only this part of :meth:`_check_basis`.
+        """
 
     @classmethod
     def _make(cls, den: int, num: dict):

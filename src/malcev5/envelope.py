@@ -62,11 +62,11 @@ def _beta_row(i: int, p: int, alpha: int, d: int) -> list:
 def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     """Product of two basis monomials from the universal structure constants.
 
-    With ``la = l-alpha``, ``rem_j = j-alpha-eps-zeta`` and ``n2 =
-    la-eta-theta``, the term of ``(alpha, eps, zeta, eta, n2)`` lands on
-    ``(p+i-j+eps-n2, q+eps-n2, r+k+zeta-la+eta+n2, s-rem_j+eta,
-    rem_j+l+m+t-eta)`` for ``x = (i,j,k,l,m)`` and ``y = (p,q,r,s,t)``, with
-    numerator over ``2^(l+i) 3^(j+l)`` (reduced once per monomial)
+    With ``la = l-alpha``, ``rem_j = j-alpha-eps-zeta``, ``rest = la-eta``
+    and ``n2 = rest-theta``, the term of ``(alpha, eps, zeta, eta, n2)`` for
+    ``x = (i,j,k,l,m)`` and ``y = (p,q,r,s,t)`` lands on ``(p+i-j+U, q+U,
+    r+k+V, s+W, l+m+t-W)``, where ``U = eps-n2``, ``V = zeta-rest+n2`` and
+    ``W = U+V+l-j``, with numerator over ``2^(l+i) 3^(j+l)`` (reduced once)
 
         alpha! C(j,alpha) C(l,alpha) 3^alpha (-2)^la C(j-alpha,eps) 3^eps
         C(j-alpha-eps,zeta) (-3)^zeta C(la,eta) (-3)^eta perm(s+eta,rem_j)
@@ -79,8 +79,14 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     perm(s+eta,rem_j)`` (Vandermonde for falling factorials).  Regrouped
     multinomials leave ``C(rem_j,delta) C(n2,gamma-delta)``, whose sum over
     delta is ``C(rem_j+n2,gamma)`` (Chu-Vandermonde).  Bounds: ``eta >=
-    rem_j-s``, ``max(0, la-eta-r) <= n2 <= min(la-eta, q)`` and ``N <=
+    rem_j-s``, ``max(0, rest-r) <= n2 <= min(rest, q)`` and ``N <=
     p+i-alpha-zeta``; ``_beta_row(i, p, alpha, alpha+zeta)`` holds B by N.
+
+    The terms sum under one ``int`` index for ``(U, V)``, so each monomial
+    is built once.  Two rows per call, built on first use and holding only
+    nonzero weights, give ``(n2, C(rest,n2) perm(r,theta) 3^theta
+    perm(q,n2))`` by ``rest`` and ``(rest, C(la,eta) (-3)^eta
+    perm(s+eta,rem_j))`` by ``(alpha, rem_j)``.
     """
     _check_monomial(x)
     _check_monomial(y)
@@ -99,34 +105,53 @@ def _closed_terms(x: Monomial, y: Monomial) -> tuple:
     p, q, r, s, t = y
     comb, perm = math.comb, math.perm
     K = (2 ** (l + i)) * 3 ** (j + l)
-    r3 = [perm(r, th) * 3 ** th for th in range(r + 1)]
-    pq = [perm(q, n2) for n2 in range(q + 1)]
+    # (U, V) is the index (U+q)*width + V+l; n2+1 moves it by -step, which masks V+l
+    sh = (j + l).bit_length()
+    width = 1 << sh
+    step = width - 1
+    n2_rows: list = [None] * (l + 1)  # by rest
     acc: dict = {}
 
     for alpha in range(min(j, l) + 1):
         la = l - alpha
-        w_a = math.factorial(alpha) * comb(j, alpha) * comb(l, alpha) * 3 ** alpha * (-2) ** la
+        w_a = perm(j, alpha) * comb(l, alpha) * 3 ** alpha * (-2) ** la
+        eta_rows: list = [None] * (j - alpha + 1)  # by rem_j
         for eps in range(j - alpha + 1):
             w_e = w_a * comb(j - alpha, eps) * 3 ** eps
-            a0, b0 = p + i - j + eps, q + eps
             for zeta in range(j - alpha - eps + 1):
                 rem_j = j - alpha - eps - zeta
                 row = _beta_row(i, p, alpha, alpha + zeta)
-                n2_hi = min(q, len(row) - 1 - rem_j)  # past it perm(q, n2) or B is zero
+                n2_hi = len(row) - 1 - rem_j  # past it B is zero
                 if n2_hi < 0:
                     continue
                 w_z = w_e * comb(j - alpha - eps, zeta) * (-3) ** zeta
-                for eta in range(max(0, rem_j - s), la + 1):
-                    rest = la - eta
-                    w_n = w_z * comb(la, eta) * (-3) ** eta * perm(s + eta, rem_j)
-                    c0 = r + k + zeta - rest
-                    ed = s - rem_j + eta
-                    em = rem_j + l + m + t - eta
-                    for n2 in range(max(0, rest - r), min(rest, n2_hi) + 1):
-                        mono = (a0 - n2, b0 - n2, c0 + n2, ed, em)
-                        w = w_n * comb(rest, n2) * r3[rest - n2] * pq[n2] * row[rem_j + n2]
-                        acc[mono] = acc.get(mono, 0) + w
-    return _reduced(K, _pruned(acc))
+                eta_row = eta_rows[rem_j]
+                if eta_row is None:
+                    eta_row = eta_rows[rem_j] = []
+                    for eta in range(max(0, rem_j - s), la + 1):
+                        rest = la - eta
+                        if n2_rows[rest] is None:
+                            n2_rows[rest] = [(n2, comb(rest, n2) * perm(q, n2) * perm(r, rest - n2)
+                                              * 3 ** (rest - n2))
+                                             for n2 in range(max(0, rest - r), min(rest, q) + 1)]
+                        w_eta = comb(la, eta) * (-3) ** eta * perm(s + eta, rem_j)
+                        eta_row.append((rest, w_eta, n2_rows[rest]))
+                base = (eps + q) * width + zeta + l
+                for rest, w_eta, n2_row in eta_row:
+                    w_n = w_z * w_eta
+                    key = base - rest
+                    for n2, w_2 in n2_row:
+                        if n2 > n2_hi:
+                            break
+                        idx = key - n2 * step
+                        acc[idx] = acc.get(idx, 0) + w_n * w_2 * row[rem_j + n2]
+    # U+q = u and V+l = v: A = p+i-j-q+u, B = u, C = r+k-l+v, W = u+v-q-j
+    a0, c0, w0 = p + i - j - q, r + k - l, q + j
+    out = {}
+    for idx, w in _pruned(acc).items():
+        u, v = idx >> sh, idx & step
+        out[(a0 + u, u, c0 + v, s - w0 + u + v, l + m + t + w0 - u - v)] = w
+    return _reduced(K, out)
 
 
 def mul_u(x: UElement, y: UElement) -> UElement:

@@ -170,7 +170,7 @@ class _Parser:
             acc[mono] = acc.get(mono, 0) + sign * num * (den // q)
             first = False
         for mono in acc:  # before pruning: a cancelled term must be a basis term too
-            cls._check_basis(mono)
+            cls._check_member(mono)
         return cls._make(*_reduced(den, _pruned(acc)))
 
 

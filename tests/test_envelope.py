@@ -10,6 +10,7 @@ seeded random elements.
 
 import inspect
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -194,6 +195,44 @@ HIGH_DEGREE_PAIRS = [
 @pytest.mark.parametrize("x, y", HIGH_DEGREE_PAIRS)
 def test_closed_form_agrees_with_operators_at_high_degree(x, y):
     assert l_of_monomial(x).apply(UElement({y: 1})) == mul_u_closed(x, y)
+
+
+def _kernel_edge_pairs():
+    # seeded (x, y) = ((i,j,k,l,m), (p,q,r,s,t)) reaching the cases that
+    # HIGH_DEGREE_PAIRS does not: j = 0 or l = 0 (empty alpha, eps and zeta
+    # ranges), q = 0 or s = 0, r > l, and c- and e-exponents up to 4
+    edge = random.Random(15)
+    pairs = []
+    for n in range(48):
+        x = [edge.randint(0, 4) for _ in range(5)]
+        y = [edge.randint(0, 4) for _ in range(5)]
+        if n % 4 < 2:
+            x[1 + 2 * (n % 4)] = 0  # j = 0, then l = 0
+        if n % 3 < 2:
+            y[1 + 2 * (n % 3)] = 0  # q = 0, then s = 0
+        if n % 2 == 0:
+            y[2] = min(4, x[3] + 1 + edge.randint(0, 1))  # r > l
+        pairs.append((tuple(x), tuple(y)))
+    return pairs
+
+
+KERNEL_EDGE_PAIRS = _kernel_edge_pairs()
+
+
+def test_kernel_edge_pairs_reach_their_cases():
+    xs, ys = [x for x, _ in KERNEL_EDGE_PAIRS], [y for _, y in KERNEL_EDGE_PAIRS]
+    assert any(x[1] == 0 for x in xs) and any(x[3] == 0 for x in xs)
+    assert any(y[1] == 0 for y in ys) and any(y[3] == 0 for y in ys)
+    assert any(y[2] > x[3] for x, y in KERNEL_EDGE_PAIRS)
+    assert all(max(m[v] for m in ms) == 4 for ms in (xs, ys) for v in (2, 4))
+
+
+@pytest.mark.parametrize("x, y", KERNEL_EDGE_PAIRS)
+def test_closed_form_agrees_with_operators_on_edge_pairs(x, y):
+    assert l_of_monomial(x).apply(UElement({y: 1})) == mul_u_closed(x, y)
+    den, num = envelope._closed_terms(x, y)
+    assert all(num.values())  # no zero numerator stored
+    assert math.gcd(den, *num.values()) == 1
 
 
 def test_clear_memos_empties_kernel_tables():
