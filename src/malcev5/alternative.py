@@ -25,6 +25,7 @@ from .core import (
     UElement,
     _SparseElement,
     _bilinear,
+    _expect,
     letter_monomial,
 )
 
@@ -72,7 +73,13 @@ class AElement(_SparseElement):
 
 
 def project(x: UElement) -> AElement:
-    """The quotient map: drop every term inside the alternator ideal."""
+    """The quotient map: drop every term inside the alternator ideal.
+
+    It maps the enveloping algebra onto the quotient, so it takes only a
+    ``UElement``: an ``AElement`` is already in the quotient, and passing
+    one raises ``TypeError`` rather than returning it unchanged.
+    """
+    _expect(UElement, x)
     return AElement._make(x._den, {mono: n for mono, n in x._num.items() if not in_ideal_j(mono)})
 
 
@@ -116,11 +123,13 @@ def _mul_a_mono(x: Monomial, y: Monomial) -> tuple:
 
 def mul_a(x: AElement, y: AElement) -> AElement:
     """Bilinear product on the quotient (closed structure constants)."""
+    _expect(AElement, x, y)
     return _bilinear(_mul_a_mono, (1, x, y))
 
 
 def associator_a(x: AElement, y: AElement, z: AElement) -> AElement:
     """Associator ``(xy)z - x(yz)`` on the quotient."""
+    _expect(AElement, x, y, z)
     return _bilinear(_mul_a_mono, (1, mul_a(x, y), z), (-1, x, mul_a(y, z)))
 
 

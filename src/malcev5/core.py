@@ -9,8 +9,9 @@ rational coefficients.  No floating point appears anywhere in the package.
 
 An element is one dict of ``int`` numerators over one positive ``int``
 denominator, and is immutable (see :class:`_SparseElement`).  The product
-kernels return ``(den, numerators)`` too, and :func:`_bilinear` sums their
-products over a common denominator and reduces by one ``gcd`` per sum.
+kernels return ``(den, numerators)`` too.  :func:`_accumulate` is the one
+step that adds terms over a common denominator, :func:`_sum_into` the one
+product loop over it, and :func:`_bilinear` reduces by one ``gcd`` per sum.
 
 This module owns the shared vocabulary: letters, monomials, the graded-lex
 term order, combinatorial helpers with the vanishing conventions used by the
@@ -193,12 +194,6 @@ def _pruned(acc: dict, keys=None) -> dict:
     return acc
 
 
-def _merge(acc: dict, terms: dict, scale) -> None:
-    """Add ``scale * terms`` into the term dict ``acc`` in place (zeros kept)."""
-    for key, coeff in terms.items():
-        acc[key] = acc.get(key, 0) + scale * coeff
-
-
 def _scaled(terms: dict) -> tuple:
     """``(den, numerators)`` of rational coefficients, over their lcm denominator."""
     den = 1
@@ -217,13 +212,55 @@ def _reduced(den: int, num: dict) -> tuple:
     return den, num
 
 
+def _accumulate(acc: dict, den: int, c: int, kden: int, terms: dict) -> int:
+    """Add ``c * terms / kden`` into the numerators ``acc`` over ``den``.
+
+    The one accumulation step.  Returns the new ``den``, scaling ``acc`` up
+    first when ``kden`` brings a new factor; zero sums are kept for
+    :func:`_pruned`.
+    """
+    if den % kden:  # a new factor of the common denominator
+        grow = kden // math.gcd(den, kden)
+        for key in acc:
+            acc[key] *= grow
+        den *= grow
+    c *= den // kden
+    for key, n in terms.items():
+        acc[key] = acc.get(key, 0) + c * n
+    return den
+
+
+def _sum_into(acc: dict, den: int, kernel, sign: int, x: tuple, y: tuple) -> int:
+    """Add ``sign * xy`` into ``acc`` over ``den``; return the new ``den``.
+
+    The one product loop of every route: ``x`` and ``y`` are ``(den,
+    numerators)`` pairs, and ``xy`` extends ``kernel(kx, ky) -> (den,
+    numerators)`` bilinearly.
+    """
+    (xden, xnum), (yden, ynum) = x, y
+    for kx, cx in xnum.items():
+        for ky, cy in ynum.items():
+            kden, terms = kernel(kx, ky)
+            if terms:
+                den = _accumulate(acc, den, sign * cx * cy, kden * xden * yden, terms)
+    return den
+
+
+def _expect(cls, *args) -> None:
+    """Raise ``TypeError`` unless every argument is a ``cls``: a public
+    product's check of its operands, since :func:`_bilinear` takes any."""
+    for arg in args:
+        if not isinstance(arg, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(arg).__name__}")
+
+
 def _bilinear(kernel, *pairs):
     """``sum sign * xy`` over ``(sign, x, y)`` pairs, of the first ``x``'s type.
 
-    ``xy`` extends ``kernel(kx, ky) -> (den, numerators)``, none zero.  The one
-    integer loop sums over a common multiple of each kernel's den times those
-    of ``x`` and ``y``.  A lone pair of one-term operands shares the kernel's
-    numerators (copied only to scale them), so no caller may mutate a result.
+    ``xy`` extends ``kernel(kx, ky) -> (den, numerators)``, none zero, by
+    :func:`_sum_into`, and the sum is reduced once.  A lone pair of one-term
+    operands shares the kernel's numerators (copied only to scale them), so
+    no caller may mutate a result.
     """
     sign, x, y = pairs[0]
     if len(pairs) == 1 and len(x._num) == 1 == len(y._num):
@@ -235,19 +272,7 @@ def _bilinear(kernel, *pairs):
         return type(x)._make(*_reduced(x._den * y._den * kden, terms))
     out, den = {}, 1
     for sign, u, v in pairs:
-        for ku, cu in u._num.items():
-            for kv, cv in v._num.items():
-                kden, terms = kernel(ku, kv)
-                if terms:
-                    kden *= u._den * v._den
-                    if den % kden:  # a new factor of the common denominator
-                        grow = kden // math.gcd(den, kden)
-                        for key in out:
-                            out[key] *= grow
-                        den *= grow
-                    c = sign * cu * cv * (den // kden)
-                    for key, n in terms.items():
-                        out[key] = out.get(key, 0) + c * n
+        den = _sum_into(out, den, kernel, sign, (u._den, u._num), (v._den, v._num))
     return type(x)._make(*_reduced(den, _pruned(out)))
 
 
@@ -347,11 +372,9 @@ class _SparseElement:
     def __add__(self, other, sign=1):
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self._den, other._den
-        g = math.gcd(a, b)
-        out = dict(self._num) if b == g else {key: n * (b // g) for key, n in self._num.items()}
-        _merge(out, other._num, sign * (a // g))
-        return type(self)._make(a // g * b, _pruned(out, other._num))  # only these can cancel
+        out = dict(self._num)
+        den = _accumulate(out, self._den, sign, other._den, other._num)
+        return type(self)._make(den, _pruned(out, other._num))  # only these can cancel
 
     def __sub__(self, other):
         return self.__add__(other, -1)

@@ -39,6 +39,7 @@ from .core import (
     _are_exponents,
     _bilinear,
     _check_monomial,
+    _expect,
     _letter_index,
     _pruned,
     _reduced,
@@ -134,6 +135,7 @@ class Operator(_SparseElement):
 
     def apply(self, x: UElement) -> UElement:
         """Apply the operator to an element of the polynomial space."""
+        _expect(UElement, x)
         return _bilinear(_apply_word, (1, x, self))
 
 
@@ -190,6 +192,7 @@ def compose(f: Operator, g: Operator) -> Operator:
     M^(n-i) D^(m-i)``, and distinct letters commute, so the product of two
     words expands over one contraction index per colliding letter.
     """
+    _expect(Operator, f, g)
     return _bilinear(_compose_words, (1, f, g))
 
 

@@ -10,7 +10,11 @@ Two independent multiplication routes live here and must agree everywhere:
   identities forced by the defining brackets: a bracket recursion that peels
   the smallest letter off the left factor of ``[x, f]``, a left-multiplication
   recursion for ``f * x`` with a single generator on the left, and a
-  generator-peeling identity for general products.
+  generator-peeling identity for general products.  Each recursion returns
+  ``(den, numerators)`` like every kernel, and each term of an identity is
+  one :func:`~malcev5.core._sum_into` over memoized sub-results, the loop
+  that every product shares; a one-term operand such as ``(3, {g: 1})``
+  carries a fixed letter and the identity's ``1/3``.
 
 The recursion is the ground truth the closed form is tested against; the
 closed form (memoized) is what everything else uses.  ``check oracle``
@@ -20,7 +24,6 @@ compares the two, together with the operator route, over a full degree range.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .core import (
     ONE,
@@ -31,11 +34,11 @@ from .core import (
     _UNIT,
     _bilinear,
     _check_monomial,
+    _expect,
     _letter_index,
-    _merge,
     _pruned,
     _reduced,
-    _scaled,
+    _sum_into,
     binomial,
     clear_memos,  # re-exported: envelope.clear_memos stays importable
     memoized,
@@ -156,6 +159,7 @@ def _closed_terms(x: Monomial, y: Monomial) -> tuple:
 
 def mul_u(x: UElement, y: UElement) -> UElement:
     """Bilinear product on the enveloping algebra (closed-form kernel)."""
+    _expect(UElement, x, y)
     return _bilinear(_closed_terms, (1, x, y))
 
 
@@ -183,14 +187,12 @@ def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
 # recursive oracle route
 # ---------------------------------------------------------------------------
 
-# degree-1 bracket table, by letter index: _B1[(v, w)] = [v, w] as a term dict
-_C = (0, 0, 1, 0, 0)
-_E = (0, 0, 0, 0, 1)
+# degree-1 bracket table, by letter index: _B1[(v, w)] = [v, w] as {letter: coefficient}
 _B1 = {
-    (0, 1): {_C: 1},
-    (1, 0): {_C: -1},
-    (2, 3): {_E: 1},
-    (3, 2): {_E: -1},
+    (0, 1): {2: 1},
+    (1, 0): {2: -1},
+    (2, 3): {4: 1},
+    (3, 2): {4: -1},
 }
 
 
@@ -210,16 +212,9 @@ def _prepended(v, mono):
     return mono[:v] + (mono[v] + 1,) + mono[v + 1:]
 
 
-def _bracket_dict(d, f):
-    out: dict = {}
-    for mono, coeff in d.items():
-        _merge(out, _bracket_mono(mono, f), coeff)
-    return out
-
-
 @memoized
 def _lmul_letter(f, x):
-    """``f * x`` for a generator index ``f`` and monomial ``x`` (term dict).
+    """``f * x`` for a generator index ``f`` and monomial ``x``, as ``(den, numerators)``.
 
     Fast path: when ``f`` does not exceed the smallest letter of ``x`` the
     product is the ordered monomial itself.  Otherwise the degree-lowering
@@ -228,86 +223,75 @@ def _lmul_letter(f, x):
     factor or is an ordered prepend.
     """
     if x == ONE:
-        return {_UNIT[f]: 1}
+        return 1, {_UNIT[f]: 1}
     g = _leading(x)
     if f <= g:
-        return {_prepended(f, x): 1}
+        return 1, {_prepended(f, x): 1}
     y = _strip(x, g)
-    out: dict = {}
+    fg = _B1.get((f, g), {})
     if y == ONE:
         # f * g with f > g: reorder plus the degree-1 bracket
-        out[_prepended(g, _UNIT[f])] = 1
-        _merge(out, _B1.get((f, g), {}), 1)
-    else:
-        # g (f y)
-        for mono, coeff in _lmul_letter(f, y).items():
-            _merge(out, _lmul_letter(g, mono), coeff)
-        # + [f,g] y
-        for w, coeff in _B1.get((f, g), {}).items():
-            _merge(out, _lmul_letter(_leading(w), y), coeff)
-        byf = _bracket_mono(y, f)
-        byg = _bracket_mono(y, g)
-        third = Fraction(1, 3)
-        # - 1/3 [[y,f],g] + 1/3 [[y,g],f]
-        _merge(out, _bracket_dict(byf, g), -third)
-        _merge(out, _bracket_dict(byg, f), third)
-        # + 1/3 [y,[f,g]]
-        for w, coeff in _B1.get((f, g), {}).items():
-            _merge(out, _bracket_mono(y, _leading(w)), third * coeff)
-    return _pruned(out)
+        out = {_prepended(g, _UNIT[f]): 1}
+        out.update((_UNIT[h], n) for h, n in fg.items())
+        return 1, out
+    out, den, y1 = {}, 1, (1, {y: 1})
+    # g (f y) + [f,g] y
+    den = _sum_into(out, den, _lmul_letter, 1, (1, {g: 1}), _lmul_letter(f, y))
+    den = _sum_into(out, den, _lmul_letter, 1, (1, fg), y1)
+    # - 1/3 [[y,f],g] + 1/3 [[y,g],f] + 1/3 [y,[f,g]]
+    den = _sum_into(out, den, _bracket_mono, -1, (3, {g: 1}), _bracket_mono(f, y))
+    den = _sum_into(out, den, _bracket_mono, 1, (3, {f: 1}), _bracket_mono(g, y))
+    den = _sum_into(out, den, _bracket_mono, 1, (3, fg), y1)
+    return _reduced(den, _pruned(out))
 
 
 @memoized
-def _bracket_mono(x, f):
-    """``[x, f]`` for a monomial ``x`` and generator index ``f`` (term dict)."""
+def _bracket_mono(f, x):
+    """``[x, f]`` for a generator index ``f`` and monomial ``x``, as ``(den, numerators)``.
+
+    Peels the smallest letter ``g`` off ``x = g y``, with ``1/2`` where
+    :func:`_lmul_letter` has ``1/3``.
+    """
     if x == ONE:
-        return {}
+        return 1, {}
     g = _leading(x)
     y = _strip(x, g)
     if y == ONE:
-        return _B1.get((g, f), {})
-    out: dict = {}
-    # [g,f] y
-    for w, coeff in _B1.get((g, f), {}).items():
-        _merge(out, _lmul_letter(_leading(w), y), coeff)
-    # + g [y,f]
-    byf = _bracket_mono(y, f)
-    for mono, coeff in byf.items():
-        _merge(out, _lmul_letter(g, mono), coeff)
-    half = Fraction(1, 2)
-    # + 1/2 [[y,f],g] - 1/2 [[y,g],f]
-    _merge(out, _bracket_dict(byf, g), half)
-    _merge(out, _bracket_dict(_bracket_mono(y, g), f), -half)
-    # - 1/2 [y,[f,g]]
-    for w, coeff in _B1.get((f, g), {}).items():
-        _merge(out, _bracket_mono(y, _leading(w)), -half * coeff)
-    return _pruned(out)
+        return 1, {_UNIT[h]: n for h, n in _B1.get((g, f), {}).items()}
+    out, den, y1 = {}, 1, (1, {y: 1})
+    byf = _bracket_mono(f, y)
+    # [g,f] y + g [y,f]
+    den = _sum_into(out, den, _lmul_letter, 1, (1, _B1.get((g, f), {})), y1)
+    den = _sum_into(out, den, _lmul_letter, 1, (1, {g: 1}), byf)
+    # + 1/2 [[y,f],g] - 1/2 [[y,g],f] - 1/2 [y,[f,g]]
+    den = _sum_into(out, den, _bracket_mono, 1, (2, {g: 1}), byf)
+    den = _sum_into(out, den, _bracket_mono, -1, (2, {f: 1}), _bracket_mono(g, y))
+    den = _sum_into(out, den, _bracket_mono, -1, (2, _B1.get((f, g), {})), y1)
+    return _reduced(den, _pruned(out))
 
 
 @memoized
 def _mul_mono(x, z):
-    """``x * z`` for basis monomials, by the generator-peeling recursion."""
+    """``x * z`` for basis monomials, by the generator-peeling recursion.
+
+    With ``x = f x'``: ``x z = 2 f(x' z) + [x' z, f] - x'(f z) - x'[z, f]``,
+    as ``(den, numerators)``.
+    """
     if x == ONE:
-        return {z: 1}
+        return 1, {z: 1}
     if z == ONE:
-        return {x: 1}
+        return 1, {x: 1}
     f = _leading(x)
     xt = _strip(x, f)
     if xt == ONE:
         return _lmul_letter(f, z)
-    out: dict = {}
+    out, den, f1, xt1 = {}, 1, (1, {f: 1}), (1, {xt: 1})
     xz = _mul_mono(xt, z)
-    for mono, coeff in xz.items():
-        # 2 f (xt z)  and  + [xt z, f]
-        _merge(out, _lmul_letter(f, mono), 2 * coeff)
-        _merge(out, _bracket_mono(mono, f), coeff)
-    # - xt (f z)
-    for mono, coeff in _lmul_letter(f, z).items():
-        _merge(out, _mul_mono(xt, mono), -coeff)
-    # - xt [z, f]
-    for mono, coeff in _bracket_mono(z, f).items():
-        _merge(out, _mul_mono(xt, mono), -coeff)
-    return _pruned(out)
+    den = _sum_into(out, den, _lmul_letter, 2, f1, xz)
+    den = _sum_into(out, den, _bracket_mono, 1, f1, xz)
+    den = _sum_into(out, den, _mul_mono, -1, xt1, _lmul_letter(f, z))
+    den = _sum_into(out, den, _mul_mono, -1, xt1, _bracket_mono(f, z))
+    return _reduced(den, _pruned(out))
 
 
 def mul_u_oracle(x: UElement, y: UElement) -> UElement:
@@ -316,8 +300,9 @@ def mul_u_oracle(x: UElement, y: UElement) -> UElement:
     Independent of the closed form and of the operator realization; this is
     the route the others are checked against.
     """
+    _expect(UElement, x, y)
     try:
-        return _bilinear(lambda kx, ky: _scaled(_mul_mono(kx, ky)), (1, x, y))
+        return _bilinear(_mul_mono, (1, x, y))
     except RecursionError as exc:
         raise ComputationError(
             "recursive product evaluation exhausted the recursion limit; "
@@ -327,11 +312,14 @@ def mul_u_oracle(x: UElement, y: UElement) -> UElement:
 
 def bracket_u_oracle(x: UElement, letter: str) -> UElement:
     """``[x, v]`` for a generator letter ``v``, by the bracket recursion."""
+    _expect(UElement, x)
     f = _letter_index(letter)
+    out = {}
     try:
-        return UElement._make(*_scaled(_pruned(_bracket_dict(x.terms, f))))
+        den = _sum_into(out, 1, _bracket_mono, 1, (1, {f: 1}), (x._den, x._num))
     except RecursionError as exc:
         raise ComputationError("bracket recursion exhausted the recursion limit") from exc
+    return UElement._make(*_reduced(den, _pruned(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +328,19 @@ def bracket_u_oracle(x: UElement, letter: str) -> UElement:
 
 def bracket_u(x: UElement, y: UElement) -> UElement:
     """Commutator ``xy - yx``."""
+    _expect(UElement, x, y)
     return _bilinear(_closed_terms, (1, x, y), (-1, y, x))
 
 
 def associator_u(x: UElement, y: UElement, z: UElement) -> UElement:
     """Associator ``(xy)z - x(yz)``."""
+    _expect(UElement, x, y, z)
     return _bilinear(_closed_terms, (1, mul_u(x, y), z), (-1, x, mul_u(y, z)))
 
 
 def jacobian_u(x: UElement, y: UElement, z: UElement) -> UElement:
     """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] on the enveloping algebra."""
+    _expect(UElement, x, y, z)
     xy, yz, zx = bracket_u(x, y), bracket_u(y, z), bracket_u(z, x)
     pairs = ((1, xy, z), (-1, z, xy), (1, yz, x), (-1, x, yz), (1, zx, y), (-1, y, zx))
     return _bilinear(_closed_terms, *pairs)

@@ -27,10 +27,9 @@ neither builds a ``Fraction``.
 from __future__ import annotations
 
 import json
-import math
 import re
 
-from .core import LETTER_INDEX, ONE, UElement, _pruned, _reduced
+from .core import LETTER_INDEX, ONE, UElement, _accumulate, _pruned, _reduced
 
 _MINUS = {"-", "−"}
 _SIGNS = {"+"} | _MINUS
@@ -162,12 +161,7 @@ class _Parser:
             self.i = i
             num, q, mono = self.term()
             i = self.i
-            if den % q:  # a new factor of the common denominator
-                grow = q // math.gcd(den, q)
-                for key in acc:
-                    acc[key] *= grow
-                den *= grow
-            acc[mono] = acc.get(mono, 0) + sign * num * (den // q)
+            den = _accumulate(acc, den, sign * num, q, {mono: 1})
             first = False
         for mono in acc:  # before pruning: a cancelled term must be a basis term too
             cls._check_member(mono)

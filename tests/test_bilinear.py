@@ -13,24 +13,30 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from malcev5 import (
     AElement,
     Operator,
     UElement,
+    associator_a,
+    associator_u,
+    bracket_u,
     compose,
+    jacobian_u,
     l_of_monomial,
     mul_a,
     mul_u,
     mul_u_oracle,
     parse_element,
     project,
+    rho,
 )
 from malcev5.alternative import _mul_a_mono, in_ideal_j
 from malcev5.core import _bilinear
 from malcev5.diffops import _apply_word, _compose_words
-from malcev5.envelope import _closed_terms
+from malcev5.envelope import _closed_terms, bracket_u_oracle
 
 
 def assert_no_zero_stored(el):
@@ -82,6 +88,32 @@ def test_construction_and_subtraction_cancel():
 
 
 # ---------------------------------------------------------------------------
+# typed entry points: _bilinear takes any element, so each product checks
+
+UA, UCE = UElement.from_letter("a"), UElement.from_monomial((0, 0, 1, 0, 1))
+AA, AC = AElement.from_letter("a"), AElement.from_letter("c")
+WRONG_OPERANDS = {
+    "mul_u": (lambda: mul_u(UA, AA), "UElement"),
+    "bracket_u": (lambda: bracket_u(AA, UA), "UElement"),
+    "associator_u": (lambda: associator_u(UA, UA, AA), "UElement"),
+    "jacobian_u": (lambda: jacobian_u(UA, AA, UA), "UElement"),
+    "mul_u_oracle": (lambda: mul_u_oracle(AA, UA), "UElement"),
+    "bracket_u_oracle": (lambda: bracket_u_oracle(AC, "d"), "UElement"),
+    "mul_a": (lambda: mul_a(UCE, UA), "AElement"),
+    "associator_a": (lambda: associator_a(AA, AA, UA), "AElement"),
+    "Operator.apply": (lambda: rho("d").apply(AC), "UElement"),
+    "compose": (lambda: compose(rho("d"), UA), "Operator"),
+    "project": (lambda: project(AC), "UElement"),
+}
+
+
+@pytest.mark.parametrize("call, expected", WRONG_OPERANDS.values(), ids=WRONG_OPERANDS)
+def test_products_reject_operands_of_the_wrong_class(call, expected):
+    with pytest.raises(TypeError, match=f"expected {expected}, got "):
+        call()
+
+
+# ---------------------------------------------------------------------------
 # the product routes on random rational elements
 
 MONOMIALS = [m for m in product(range(4), repeat=5) if sum(m) <= 3]
@@ -97,6 +129,8 @@ scalars = coefficients.filter(lambda q: q not in (1, -1))
 def test_product_routes_and_bilinearity(x, y, z, s):
     xy = mul_u(x, y)
     assert xy == mul_u_oracle(x, y)
+    for ch in "abcde":
+        assert bracket_u_oracle(x, ch) == bracket_u(x, UElement.from_letter(ch))
     lx = sum((c * l_of_monomial(m) for m, c in x.terms.items()), Operator.zero())
     assert lx.apply(y) == xy
     assert project(xy) == mul_a(project(x), project(y))

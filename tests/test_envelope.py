@@ -169,6 +169,42 @@ def test_oracle_recursion_overflow_reports():
         clear_memos()
 
 
+def test_oracle_depth_at_degree_thirty():
+    # d^30 c^30 needs 128 frames beyond its caller on 3.11; the margin is
+    # for other versions, and a recursion that grew per level would pass it
+    core.clear_memos()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        got = mul_u_oracle(U((0, 0, 0, 30, 0)), U((0, 0, 30, 0, 0)))
+    finally:
+        sys.setrecursionlimit(limit)
+        core.clear_memos()
+    assert got.coefficient((0, 0, 30, 30, 0)) == 1
+
+
+def test_oracle_builds_no_fraction(monkeypatch):
+    monos = [U(m) for m in monomials_up_to(3)]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    core.clear_memos()
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for x in monos:
+        for y in monos:
+            mul_u_oracle(x, y)
+        for letter in "abcde":
+            bracket_u_oracle(x, letter)
+    found = len(built)
+    Fraction(1, 2)  # the wrapper sees what is built
+    monkeypatch.undo()
+    core.clear_memos()
+    assert found == 0 and len(built) == 1
+
 # pairs beyond the degree 5 that ``check oracle`` reaches.  The first ten
 # are shaped like perfbench's high_degree workload: degree 9 to 11, the
 # (a, b, d) exponents a permutation of (2, 3, 4) or (3, 3, 3), some with one
