@@ -44,6 +44,7 @@ from .envelope import (
 from .alternative import (
     AElement,
     associator_a,
+    bracket_a,
     in_ideal_j,
     is_type1,
     is_type2,

@@ -11,9 +11,11 @@ the surviving monomials as a basis, in two families::
 
 :class:`AElement` stores elements of the quotient on that basis, reusing the
 exponent-5-tuple encoding (a type-1 monomial is any tuple with last entry 1
-and middle entry 0; a type-2 tuple ends in 0).  The product :func:`mul_a`
-is given in closed form per type pair; :func:`project` is the quotient map.
-Both are cross-checked against the enveloping product: ``project`` after
+and middle entry 0; a type-2 tuple ends in 0).  The product is one closed
+kernel, ``_mul_a_mono``, per type pair; :func:`mul_a`, the commutator
+:func:`bracket_a` and the associator :func:`associator_a` are each one
+signed sum of its products.  :func:`project` is the quotient map.  Both
+are cross-checked against the enveloping product: ``project`` after
 :func:`~malcev5.envelope.mul_u` must equal :func:`mul_a` after ``project``.
 """
 
@@ -89,17 +91,10 @@ def project(x: UElement) -> AElement:
 
 def _mul_a_mono(x: Monomial, y: Monomial) -> tuple:
     """Product of two quotient basis monomials as ``(den, numerators)``, den 6 or 1."""
-    if x[4]:
-        if y[4]:
-            # type1 * type1: the product lands entirely in the ideal
-            return 1, {}
-        # type1 * type2 survives only when the type-2 factor has no c
-        if y[2]:
-            return 1, {}
-        return 1, {(x[0] + y[0], x[1] + y[1], 0, x[3] + y[3], 1): 1}
-    if y[4]:
-        # type2 * type1, gated by the type-2 factor's c-exponent
-        if x[2]:
+    if x[4] or y[4]:
+        # type 1 times type 1 lands in the ideal; type 1 times type 2, on
+        # either side, is the concatenation when the type-2 factor has no c
+        if x[4] and y[4] or x[2] or y[2]:
             return 1, {}
         return 1, {(x[0] + y[0], x[1] + y[1], 0, x[3] + y[3], 1): 1}
 
@@ -125,6 +120,12 @@ def mul_a(x: AElement, y: AElement) -> AElement:
     """Bilinear product on the quotient (closed structure constants)."""
     _expect(AElement, x, y)
     return _bilinear(_mul_a_mono, (1, x, y))
+
+
+def bracket_a(x: AElement, y: AElement) -> AElement:
+    """Commutator ``xy - yx`` on the quotient."""
+    _expect(AElement, x, y)
+    return _bilinear(_mul_a_mono, (1, x, y), (-1, y, x))
 
 
 def associator_a(x: AElement, y: AElement, z: AElement) -> AElement:

@@ -13,21 +13,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .alternative import AElement, associator_a, mul_a, project
+from .alternative import AElement, associator_a, bracket_a, mul_a, project
 from .checks import SUITE_NAMES, run_suite
 from .core import ComputationError, UElement
 from .diffops import lmul, rho
 from .envelope import associator_u, bracket_u, mul_u
 from .exprs import element_json, parse_element
 
-
-def _bracket_a(x: AElement, y: AElement) -> AElement:
-    return mul_a(x, y) - mul_a(y, x)
-
-
-_BINARY = {("u", "mul"): mul_u, ("u", "bracket"): bracket_u,
-           ("a", "mul"): mul_a, ("a", "bracket"): _bracket_a}
-_TERNARY = {"u": associator_u, "a": associator_a}
+# --algebra -> (element class, element command -> product)
+_COMMANDS = {
+    "u": (UElement, {"mul": mul_u, "bracket": bracket_u, "assoc": associator_u}),
+    "a": (AElement, {"mul": mul_a, "bracket": bracket_a, "assoc": associator_a}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,11 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_element(el, fmt: str, with_type: bool) -> None:
-    if fmt == "json":
-        print(element_json(el, with_type=with_type))
-    else:
-        print(el)
+def _print_element(el, fmt: str) -> None:
+    print(element_json(el, with_type=isinstance(el, AElement)) if fmt == "json" else el)
 
 
 def _run_checks(args) -> int:
@@ -137,25 +131,18 @@ def _dispatch(args) -> int:
 
     if args.command == "project":
         el = parse_element(args.expr1, UElement)
-        _print_element(project(el), args.fmt, with_type=True)
+        _print_element(project(el), args.fmt)
         return 0
 
     if args.command == "apply-op":
         el = parse_element(args.expr1, UElement)
         op = rho(args.letter) if args.operator == "rho" else lmul(args.letter)
-        _print_element(op.apply(el), args.fmt, with_type=False)
+        _print_element(op.apply(el), args.fmt)
         return 0
 
-    cls = AElement if args.algebra == "a" else UElement
-    exprs = [args.expr1, args.expr2]
-    if args.command == "assoc":
-        exprs.append(args.expr3)
-    elements = [parse_element(text, cls) for text in exprs]
-    if args.command == "assoc":
-        result = _TERNARY[args.algebra](*elements)
-    else:
-        result = _BINARY[(args.algebra, args.command)](*elements)
-    _print_element(result, args.fmt, with_type=args.algebra == "a")
+    cls, products = _COMMANDS[args.algebra]
+    texts = [args.expr1, args.expr2] + ([args.expr3] if args.command == "assoc" else [])
+    _print_element(products[args.command](*(parse_element(t, cls) for t in texts)), args.fmt)
     return 0
 
 

@@ -10,14 +10,17 @@ rational coefficients.  No floating point appears anywhere in the package.
 An element is one dict of ``int`` numerators over one positive ``int``
 denominator, and is immutable (see :class:`_SparseElement`).  The product
 kernels return ``(den, numerators)`` too.  :func:`_accumulate` is the one
-step that adds terms over a common denominator, :func:`_sum_into` the one
-product loop over it, and :func:`_bilinear` reduces by one ``gcd`` per sum.
+step that adds terms over a common denominator, for the constructors, sums
+and the parser alike; :func:`_sum_into` is the one product loop over it,
+and :func:`_bilinear` reduces by one ``gcd`` per sum.
 
 This module owns the shared vocabulary: letters, monomials, the graded-lex
 term order, combinatorial helpers with the vanishing conventions used by the
-closed formulas, vectors of the base algebra, the sparse linear
-combination type that the other modules build on, and :func:`memoized`,
-the one memo mechanism.
+closed formulas, the sparse linear combination type that the other modules
+build on, vectors of the base algebra with ``_BRACKETS``, the one table of
+the defining brackets (read by :func:`bracket_m` and by the recursive
+oracle, never by the closed kernel or the operator tables), and
+:func:`memoized`, the one memo mechanism.
 """
 
 from __future__ import annotations
@@ -194,15 +197,6 @@ def _pruned(acc: dict, keys=None) -> dict:
     return acc
 
 
-def _scaled(terms: dict) -> tuple:
-    """``(den, numerators)`` of rational coefficients, over their lcm denominator."""
-    den = 1
-    for coeff in terms.values():
-        if den % coeff.denominator:
-            den = math.lcm(den, coeff.denominator)
-    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
-
-
 def _reduced(den: int, num: dict) -> tuple:
     """``(den, num)`` divided by the gcd of ``den`` and every numerator."""
     if den != 1:
@@ -300,13 +294,13 @@ class _SparseElement:
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data = {}
-        for mono, coeff in items:
-            self._check_basis(mono)
+        acc, den = {}, 1
+        for key, coeff in items:
+            self._check_basis(key)
             if not isinstance(coeff, Rational):
                 raise TypeError(f"coefficients must be rational, got {coeff!r}")
-            data[mono] = data.get(mono, 0) + coeff
-        self._den, self._num = _scaled(_pruned(data))
+            den = _accumulate(acc, den, coeff.numerator, coeff.denominator, {key: 1})
+        self._den, self._num = _reduced(den, _pruned(acc))
 
     @classmethod
     def _check_basis(cls, mono) -> None:
@@ -454,10 +448,11 @@ class MalcevVector(_SparseElement):
         coords = tuple(coords)
         if len(coords) != 5:
             raise ValueError(f"expected 5 coordinates, got {len(coords)}")
-        for v in coords:
-            if not isinstance(v, Rational):
-                raise TypeError(f"coordinates must be rational, got {v!r}")
-        self._den, self._num = _scaled({v: coeff for v, coeff in enumerate(coords) if coeff})
+        super().__init__(enumerate(coords))
+
+    @staticmethod
+    def _check_basis(v) -> None:
+        """Every key is a letter index, as ``enumerate`` gives them."""
 
     @property
     def coords(self) -> tuple:
@@ -479,11 +474,23 @@ class MalcevVector(_SparseElement):
     __str__ = __repr__
 
 
+#: The defining brackets ``[a,b] = c`` and ``[c,d] = e``, extended
+#: antisymmetrically: ``_BRACKETS[(v, w)]`` is ``[v, w]`` for letter indices
+#: ``v`` and ``w``, as ``{letter index: coefficient}``; every pair not listed
+#: brackets to zero.  The dicts are shared like memo results, so no caller
+#: may mutate one.
+_BRACKETS = {(0, 1): {2: 1}, (1, 0): {2: -1}, (2, 3): {4: 1}, (3, 2): {4: -1}}
+
+
+def _bracket_letters(v: int, w: int) -> tuple:
+    """``[v, w]`` of two letter indices as ``(1, numerators)``, a kernel."""
+    return 1, _BRACKETS.get((v, w), {})
+
+
 def bracket_m(x: MalcevVector, y: MalcevVector) -> MalcevVector:
-    """Bracket of the base algebra: bilinear extension of [a,b]=c, [c,d]=e."""
-    xa, xb, xc, xd, _ = x.coords
-    ya, yb, yc, yd, _ = y.coords
-    return MalcevVector((0, 0, xa * yb - xb * ya, 0, xc * yd - xd * yc))
+    """Bracket of the base algebra: the bilinear extension of ``_BRACKETS``."""
+    _expect(MalcevVector, x, y)
+    return _bilinear(_bracket_letters, (1, x, y))
 
 
 def jacobian_m(x: MalcevVector, y: MalcevVector, z: MalcevVector) -> MalcevVector:
@@ -492,10 +499,8 @@ def jacobian_m(x: MalcevVector, y: MalcevVector, z: MalcevVector) -> MalcevVecto
     Not identically zero -- J(a,b,d) = e -- which is exactly why the
     enveloping algebra below is nonassociative.
     """
-    return (
-        bracket_m(bracket_m(x, y), z)
-        + bracket_m(bracket_m(y, z), x)
-        + bracket_m(bracket_m(z, x), y)
+    return _bilinear(
+        _bracket_letters, (1, bracket_m(x, y), z), (1, bracket_m(y, z), x), (1, bracket_m(z, x), y)
     )
 
 

@@ -7,8 +7,10 @@ Two independent multiplication routes live here and must agree everywhere:
   a basis monomial, with four of the nine sums of its word expansion closed;
 * :func:`mul_u_oracle` -- a recursive evaluator that knows nothing about
   operators or closed sums.  It reduces every product to the degree-lowering
-  identities forced by the defining brackets: a bracket recursion that peels
-  the smallest letter off the left factor of ``[x, f]``, a left-multiplication
+  identities forced by the defining brackets, which it reads from
+  ``core._BRACKETS``, the table :func:`~malcev5.core.bracket_m` extends and
+  the other two routes never read: a bracket recursion that peels the
+  smallest letter off the left factor of ``[x, f]``, a left-multiplication
   recursion for ``f * x`` with a single generator on the left, and a
   generator-peeling identity for general products.  Each recursion returns
   ``(den, numerators)`` like every kernel, and each term of an identity is
@@ -31,6 +33,7 @@ from .core import (
     MalcevVector,
     Monomial,
     UElement,
+    _BRACKETS,
     _UNIT,
     _bilinear,
     _check_monomial,
@@ -187,15 +190,6 @@ def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
 # recursive oracle route
 # ---------------------------------------------------------------------------
 
-# degree-1 bracket table, by letter index: _B1[(v, w)] = [v, w] as {letter: coefficient}
-_B1 = {
-    (0, 1): {2: 1},
-    (1, 0): {2: -1},
-    (2, 3): {4: 1},
-    (3, 2): {4: -1},
-}
-
-
 def _leading(mono):
     # index of the smallest letter present; monomials here are never empty
     for v in range(5):
@@ -228,7 +222,7 @@ def _lmul_letter(f, x):
     if f <= g:
         return 1, {_prepended(f, x): 1}
     y = _strip(x, g)
-    fg = _B1.get((f, g), {})
+    fg = _BRACKETS.get((f, g), {})
     if y == ONE:
         # f * g with f > g: reorder plus the degree-1 bracket
         out = {_prepended(g, _UNIT[f]): 1}
@@ -256,17 +250,18 @@ def _bracket_mono(f, x):
         return 1, {}
     g = _leading(x)
     y = _strip(x, g)
+    gf = _BRACKETS.get((g, f), {})
     if y == ONE:
-        return 1, {_UNIT[h]: n for h, n in _B1.get((g, f), {}).items()}
+        return 1, {_UNIT[h]: n for h, n in gf.items()}
     out, den, y1 = {}, 1, (1, {y: 1})
     byf = _bracket_mono(f, y)
     # [g,f] y + g [y,f]
-    den = _sum_into(out, den, _lmul_letter, 1, (1, _B1.get((g, f), {})), y1)
+    den = _sum_into(out, den, _lmul_letter, 1, (1, gf), y1)
     den = _sum_into(out, den, _lmul_letter, 1, (1, {g: 1}), byf)
     # + 1/2 [[y,f],g] - 1/2 [[y,g],f] - 1/2 [y,[f,g]]
     den = _sum_into(out, den, _bracket_mono, 1, (2, {g: 1}), byf)
     den = _sum_into(out, den, _bracket_mono, -1, (2, {f: 1}), _bracket_mono(g, y))
-    den = _sum_into(out, den, _bracket_mono, -1, (2, _B1.get((f, g), {})), y1)
+    den = _sum_into(out, den, _bracket_mono, -1, (2, _BRACKETS.get((f, g), {})), y1)
     return _reduced(den, _pruned(out))
 
 

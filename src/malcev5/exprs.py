@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 
+from .alternative import AElement, is_type1
 from .core import LETTER_INDEX, ONE, UElement, _accumulate, _pruned, _reduced
 
 _MINUS = {"-", "−"}
@@ -171,10 +172,13 @@ class _Parser:
 def parse_element(text: str, cls=UElement):
     """Parse canonical-form text into an element (``cls`` picks the algebra).
 
-    Raises :class:`ParseError` for malformed input.  Constructing the
-    element may additionally raise ``ValueError`` when a well-formed
-    monomial is not a basis monomial of the target algebra.
+    ``cls`` is ``UElement`` or ``AElement``; any other class raises
+    ``TypeError``.  Raises :class:`ParseError` for malformed input.
+    Constructing the element may additionally raise ``ValueError`` when a
+    well-formed monomial is not a basis monomial of the target algebra.
     """
+    if cls is not UElement and cls is not AElement:
+        raise TypeError(f"parse_element builds a UElement or an AElement, got {cls!r}")
     return _Parser(text).parse(cls)
 
 
@@ -182,13 +186,16 @@ def element_json(el, with_type: bool = False) -> str:
     """Serialize an element as a JSON array of term objects.
 
     Terms follow the canonical display order; each is
-    ``{"coeff": "p/q", "exp": [i, j, k, l, m]}``, plus a ``"type"`` field
-    (1 or 2) for elements of the alternative quotient.
+    ``{"coeff": "p/q", "exp": [i, j, k, l, m]}``.  With ``with_type``, which
+    takes only an ``AElement``, each also has a ``"type"`` field: 1 for the
+    quotient's type-1 monomials, 2 for its type-2 monomials.
     """
+    if with_type and not isinstance(el, AElement):
+        raise TypeError(f"with_type=True takes an AElement, got {type(el).__name__}")
     out = []
     for mono, coeff in el._display_terms():
         item = {"coeff": coeff, "exp": list(mono)}
         if with_type:
-            item["type"] = 1 if mono[4] else 2
+            item["type"] = 1 if is_type1(mono) else 2
         out.append(item)
     return json.dumps(out)

@@ -18,10 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from malcev5 import (
     AElement,
+    MalcevVector,
     Operator,
     UElement,
     associator_a,
     associator_u,
+    bracket_a,
+    bracket_m,
     bracket_u,
     compose,
     jacobian_u,
@@ -100,10 +103,12 @@ WRONG_OPERANDS = {
     "mul_u_oracle": (lambda: mul_u_oracle(AA, UA), "UElement"),
     "bracket_u_oracle": (lambda: bracket_u_oracle(AC, "d"), "UElement"),
     "mul_a": (lambda: mul_a(UCE, UA), "AElement"),
+    "bracket_a": (lambda: bracket_a(AA, UA), "AElement"),
     "associator_a": (lambda: associator_a(AA, AA, UA), "AElement"),
     "Operator.apply": (lambda: rho("d").apply(AC), "UElement"),
     "compose": (lambda: compose(rho("d"), UA), "Operator"),
     "project": (lambda: project(AC), "UElement"),
+    "bracket_m": (lambda: bracket_m(MalcevVector.basis("a"), AA), "MalcevVector"),
 }
 
 
@@ -138,6 +143,7 @@ def test_product_routes_and_bilinearity(x, y, z, s):
     assert mul_u(x + s * y, z) == mul_u(x, z) + s * mul_u(y, z)
     assert mul_u(x, y + s * z) == xy + s * mul_u(x, z)
     px, py, pz = project(x), project(y), project(z)
+    assert bracket_a(px, py) == mul_a(px, py) - mul_a(py, px)
     assert mul_a(px + s * py, pz) == mul_a(px, pz) + s * mul_a(py, pz)
     assert mul_a(px, py + s * pz) == mul_a(px, py) + s * mul_a(px, pz)
 

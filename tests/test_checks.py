@@ -12,10 +12,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from malcev5 import alternative, checks
+from malcev5 import alternative, checks, core
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
 from malcev5.alternative import AElement, associator_a, type2_associator_closed
-from malcev5.core import UElement, _scaled
+from malcev5.core import UElement, clear_memos
 
 
 def test_suite_names_stable():
@@ -57,6 +57,17 @@ def test_unknown_suite():
 def test_negative_parameters_rejected(name, max_degree, samples):
     with pytest.raises(ValueError, match="must be nonnegative"):
         run_suite(name, max_degree=max_degree, samples=samples)
+
+
+@pytest.mark.parametrize("seed", [None, "x", 1.5, True], ids=repr)
+def test_seed_must_be_an_integer(seed):
+    # None would draw from an unseeded generator, and "x" would fail at seed + 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_suite("operators", max_degree=1, samples=1, seed=seed)
+
+
+def test_negative_seed_accepted():
+    assert run_suite("malcev", max_degree=1, samples=2, seed=-3).passed
 
 
 def test_reports_deterministic():
@@ -110,8 +121,8 @@ def planted(real, pair, change):
         den, num = real(x, y)
         if (x, y) != pair:
             return den, num
-        out = change({m: Fraction(n, den) for m, n in num.items()})
-        return _scaled({m: c for m, c in out.items() if c})
+        out = UElement(change({m: Fraction(n, den) for m, n in num.items()}))
+        return out._den, out._num
 
     return faulty
 
@@ -301,18 +312,38 @@ def test_oracle_reports_a_planted_fault(monkeypatch):
 
 
 def test_special_reports_a_planted_fault(monkeypatch):
-    # a * b = ab and b * a = ab - c, so [a, b] = c; the quotient product now
-    # says ab + e for a * b
-    real = checks.mul_a
+    # a * b = ab and b * a = ab - c, so [a, b] = c; the quotient commutator
+    # now says c + e
+    real = checks.bracket_a
     a, b = AElement.from_letter("a"), AElement.from_letter("b")
 
     def faulty(x, y):
         out = real(x, y)
         return out + AElement.from_letter("e") if (x, y) == (a, b) else out
 
-    monkeypatch.setattr(checks, "mul_a", faulty)
+    monkeypatch.setattr(checks, "bracket_a", faulty)
     report = run_suite("special")
     assert not report.passed
     assert report.counterexample == (
         "quotient commutator mismatch on (a, b): [x,y] = c + e; base bracket = c"
     )
+
+
+def test_oracle_reports_a_planted_bracket_table_fault(monkeypatch):
+    # [a, b] = 2c in the one table of the defining brackets: the recursive
+    # oracle reads it, the closed kernel and the operator route do not.  The
+    # first pair it reaches is d * ab, whose e term is 1/3 [[b, a], d]
+    monkeypatch.setitem(core._BRACKETS, (0, 1), {2: 2})
+    monkeypatch.setitem(core._BRACKETS, (1, 0), {2: -2})
+    clear_memos()
+    try:
+        report = run_suite("oracle", max_degree=2)
+    finally:
+        monkeypatch.undo()
+        clear_memos()
+    assert not report.passed
+    assert report.counterexample == (
+        "product routes mismatch on (d, ab): closed = abd - 1/3 e; oracle = abd - 2/3 e; "
+        "operator = abd - 1/3 e"
+    )
+    assert run_suite("oracle", max_degree=2).passed

@@ -9,7 +9,7 @@ from _reference_parser import ReferenceParseError, reference_parse
 from hypothesis import given, settings, strategies as st
 
 from malcev5.alternative import AElement
-from malcev5.core import UElement
+from malcev5.core import MalcevVector, UElement
 from malcev5.diffops import Operator
 from malcev5.envelope import associator_u, mul_u
 from malcev5.exprs import _WS, ParseError, element_json, parse_element
@@ -194,6 +194,22 @@ def test_json_with_types():
         {"coeff": "1", "exp": [1, 1, 0, 1, 1], "type": 1},
         {"coeff": "1/6", "exp": [0, 0, 1, 0, 0], "type": 2},
     ]
+
+
+def test_json_types_only_quotient_elements():
+    # ce and e^2 lie in the alternator ideal: neither is of type 1 or 2
+    x = UElement.from_monomial((0, 0, 1, 0, 1)) + UElement.from_monomial((0, 0, 0, 0, 2))
+    with pytest.raises(TypeError, match="takes an AElement, got UElement"):
+        element_json(x, with_type=True)
+    assert element_json(x) == (
+        '[{"coeff": "1", "exp": [0, 0, 1, 0, 1]}, {"coeff": "1", "exp": [0, 0, 0, 0, 2]}]'
+    )
+
+
+@pytest.mark.parametrize("cls", [MalcevVector, Operator, object])
+def test_parse_element_builds_only_envelope_and_quotient_elements(cls):
+    with pytest.raises(TypeError, match="UElement or an AElement"):
+        parse_element("a + 2 bc", cls)
 
 
 def test_json_roundtrip_via_text():
