@@ -22,13 +22,11 @@ are cross-checked against the enveloping product: ``project`` after
 from __future__ import annotations
 
 from .core import (
-    ONE,
     Monomial,
     UElement,
-    _SparseElement,
+    _MonomialElement,
     _bilinear,
     _expect,
-    letter_monomial,
 )
 
 
@@ -52,7 +50,7 @@ def is_type2(mono: Monomial) -> bool:
     return mono[4] == 0
 
 
-class AElement(_SparseElement):
+class AElement(_MonomialElement):
     """An element of the alternative quotient, on the surviving monomials."""
 
     __slots__ = ()
@@ -64,14 +62,6 @@ class AElement(_SparseElement):
                 f"{mono!r} lies in the alternator ideal and is not a basis "
                 "monomial of the quotient"
             )
-
-    @classmethod
-    def one(cls) -> "AElement":
-        return cls._make(1, {ONE: 1})
-
-    @classmethod
-    def from_letter(cls, letter: str) -> "AElement":
-        return cls._make(1, {letter_monomial(letter): 1})
 
 
 def project(x: UElement) -> AElement:

@@ -282,9 +282,11 @@ class _SparseElement:
     ``Fraction`` otherwise.  Instances are immutable: nothing mutates
     ``_num`` after construction, which is what makes every value here safe
     to share across threads and to memoize.  The keys are monomials by
-    default; a subclass over other keys overrides ``_check_basis``, the
-    display order ``_term_key`` and the renderer ``_render_key``, and one
-    over some of the monomials overrides ``_check_member``.
+    default; a subclass over other keys overrides ``_check_basis`` and the
+    display order ``_term_key`` (and the renderer ``_render_key`` if it
+    prints through :func:`format_terms`), and one over some of the
+    monomials overrides ``_check_member``.  The monomial constructors are on
+    :class:`_MonomialElement`.
     """
 
     __slots__ = ("_num", "_den")
@@ -326,10 +328,6 @@ class _SparseElement:
     @classmethod
     def zero(cls):
         return cls._make(1, {})
-
-    @classmethod
-    def from_monomial(cls, mono, coeff=1):
-        return cls({mono: coeff})
 
     @property
     def terms(self) -> Mapping:
@@ -413,18 +411,28 @@ class _SparseElement:
         return f"{type(self).__name__}({dict(self.terms)!r})"
 
 
-class UElement(_SparseElement):
-    """An element of the enveloping algebra in the ordered-monomial basis."""
+class _MonomialElement(_SparseElement):
+    """An element keyed by monomials, with the monomial constructors."""
 
     __slots__ = ()
 
     @classmethod
-    def one(cls) -> "UElement":
+    def one(cls):
         return cls._make(1, {ONE: 1})
 
     @classmethod
-    def from_letter(cls, letter: str) -> "UElement":
+    def from_letter(cls, letter: str):
         return cls._make(1, {letter_monomial(letter): 1})
+
+    @classmethod
+    def from_monomial(cls, mono, coeff=1):
+        return cls({mono: coeff})
+
+
+class UElement(_MonomialElement):
+    """An element of the enveloping algebra in the ordered-monomial basis."""
+
+    __slots__ = ()
 
     def max_degree(self) -> int:
         """Degree of the element (largest monomial degree; -1 for zero)."""
@@ -439,10 +447,16 @@ class MalcevVector(_SparseElement):
     """A vector of the base algebra: rational coordinates over a, b, c, d, e.
 
     The terms are keyed by letter index, so the linear structure is the
-    shared one; ``coords`` gives all five coordinates as a tuple.
+    shared one; ``coords`` gives all five coordinates as a tuple.  Terms
+    sort from ``a`` to ``e``, and there is no monomial constructor.
     """
 
     __slots__ = ()
+
+    @staticmethod
+    def _term_key(v: int) -> int:
+        # the shared sort is descending
+        return -v
 
     def __init__(self, coords):
         coords = tuple(coords)

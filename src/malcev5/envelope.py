@@ -19,8 +19,14 @@ Two independent multiplication routes live here and must agree everywhere:
   carries a fixed letter and the identity's ``1/3``.
 
 The recursion is the ground truth the closed form is tested against; the
-closed form (memoized) is what everything else uses.  ``check oracle``
-compares the two, together with the operator route, over a full degree range.
+closed form is what everything else uses.  ``check oracle`` compares the
+two, together with the operator route, over a full degree range.
+
+The closed form obeys a shift law: the c- and e-exponents ``k``, ``m`` of
+the left factor and the e-exponent ``t`` of the right factor only shift
+every output monomial, by ``k`` in c and ``m+t`` in e.  So its memo is
+keyed by the seven exponents ``(i, j, l, p, q, r, s)`` the sum reads, one
+entry per shift class, and a shifted pair rebuilds its output from it.
 """
 
 from __future__ import annotations
@@ -93,15 +99,47 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     nonzero weights, give ``(n2, C(rest,n2) perm(r,theta) 3^theta
     perm(q,n2))`` by ``rest`` and ``(rest, C(la,eta) (-3)^eta
     perm(s+eta,rem_j))`` by ``(alpha, rem_j)``.
+
+    ``k``, ``m`` and ``t`` appear only in ``C`` and the e-exponent, so
+    ``x y`` is ``(i,j,0,l,0) (p,q,r,s,0)`` with ``k`` added to every
+    c-exponent and ``m+t`` to every e-exponent; the memo holds one sum per
+    such shift class (see ``_closed_class``).
     """
     _check_monomial(x)
     _check_monomial(y)
     return UElement._make(*_closed_terms(x, y))
 
 
-@memoized
 def _closed_terms(x: Monomial, y: Monomial) -> tuple:
-    """``(den, numerators)`` of :func:`mul_u_closed` on validated monomials."""
+    """``(den, numerators)`` of :func:`mul_u_closed` on validated monomials.
+
+    The kernel every closed-form product calls, itself unmemoized: it reads
+    the sum of the shift class from ``_closed_class`` and shifts it.  When
+    ``k = m = t = 0`` the caller's tuples are the key and the cached pair is
+    returned itself, so no caller may mutate it; otherwise the shifted
+    numerators are a new dict.
+    """
+    i, j, k, l, m = x
+    p, q, r, s, t = y
+    if k or m or t:
+        den, num = _closed_class((i, j, 0, l, 0), (p, q, r, s, 0))
+        m += t
+        return den, {(a, b, c + k, d, e + m): n for (a, b, c, d, e), n in num.items()}
+    return _closed_class(x, y)
+
+
+@memoized
+def _closed_class(x: Monomial, y: Monomial) -> tuple:
+    """The five-index sum of :func:`mul_u_closed`, memoized by shift class.
+
+    ``k``, ``m`` and ``t`` only shift the output: ``K``, every weight, every
+    bound and ``_beta_row`` read ``i, j, l, p, q, r, s`` alone, ``k`` enters
+    only ``c0 = r+k-l`` and ``m+t`` only the e-exponent ``l+m+t+w0-u-v``.
+    The ``ONE`` returns agree with that: for ``x = c^k e^m`` the general sum
+    gives ``{(p, q, r+k, s, m+t): 1}`` and for ``y = e^t`` it gives ``{(i, j,
+    k, l, m+t): 1}``.  The shift is injective and keeps the order of the
+    terms, so :func:`_closed_terms` returns the unshifted sum's dict order.
+    """
     if x == ONE:
         return 1, {y: 1}
     if y == ONE:

@@ -188,8 +188,11 @@ def element_json(el, with_type: bool = False) -> str:
     Terms follow the canonical display order; each is
     ``{"coeff": "p/q", "exp": [i, j, k, l, m]}``.  With ``with_type``, which
     takes only an ``AElement``, each also has a ``"type"`` field: 1 for the
-    quotient's type-1 monomials, 2 for its type-2 monomials.
+    quotient's type-1 monomials, 2 for its type-2 monomials.  ``el`` is a
+    ``UElement`` or an ``AElement``; anything else raises ``TypeError``.
     """
+    if not isinstance(el, (UElement, AElement)):
+        raise TypeError(f"element_json takes a UElement or an AElement, got {type(el).__name__}")
     if with_type and not isinstance(el, AElement):
         raise TypeError(f"with_type=True takes an AElement, got {type(el).__name__}")
     out = []

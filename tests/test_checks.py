@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from malcev5 import alternative, checks, core
+from malcev5 import alternative, checks, core, envelope
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
 from malcev5.alternative import AElement, associator_a, type2_associator_closed
 from malcev5.core import UElement, clear_memos
@@ -309,6 +309,29 @@ def test_oracle_reports_a_planted_fault(monkeypatch):
         "product routes mismatch on (b, a): closed = ab - c; oracle = ab - c + e; "
         "operator = ab - c"
     )
+
+
+def test_oracle_reports_a_kernel_that_drops_the_c_shift(monkeypatch):
+    # the closed kernel forgets to add the left factor's c-exponent back
+    def dropped(x, y):
+        den, num = envelope._closed_class((x[0], x[1], 0, x[3], 0), y[:4] + (0,))
+        mt = x[4] + y[4]
+        return den, {(a, b, c, d, e + mt): n for (a, b, c, d, e), n in num.items()}
+
+    monkeypatch.setattr(envelope, "_closed_terms", dropped)
+    report = run_suite("oracle", max_degree=2)
+    assert not report.passed
+    # c * 1 is c; oracle and operator agree against the closed route
+    assert report.counterexample == (
+        "product routes mismatch on (c, 1): closed = 1; oracle = c; operator = c"
+    )
+
+
+def test_kernel_memo_holds_one_entry_per_shift_class():
+    # keyed by the full pair of monomials, the same run leaves 18,911 entries
+    clear_memos()
+    assert run_suite("oracle", 4, 20, 0).passed
+    assert envelope._closed_class.cache_info().currsize == 2542
 
 
 def test_special_reports_a_planted_fault(monkeypatch):

@@ -358,6 +358,18 @@ def test_malcev_vector_u_element():
     assert el == 2 * UElement.from_letter("a") - UElement.from_letter("c")
 
 
+def test_malcev_vector_sorts_by_letter():
+    v = MalcevVector((Fraction(1, 2), 2, 0, 0, -1))
+    assert v.sorted_terms() == [(0, Fraction(1, 2)), (1, 2), (4, -1)]
+    assert MalcevVector((1, 2, 0, 0, 0)).sorted_terms() == [(0, 1), (1, 2)]
+
+
+def test_malcev_vector_has_no_monomial_constructor():
+    # its keys are letter indices, so a monomial is not a vector
+    with pytest.raises(AttributeError):
+        MalcevVector.from_monomial(2)
+
+
 def test_letters_constant():
     assert LETTERS == "abcde"
 
@@ -368,7 +380,7 @@ def test_letters_constant():
 
 def memoized_kernels():
     return [
-        envelope._closed_terms,
+        envelope._closed_class,
         envelope._beta_row,
         envelope._lmul_letter,
         envelope._bracket_mono,

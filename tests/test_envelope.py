@@ -271,6 +271,32 @@ def test_closed_form_agrees_with_operators_on_edge_pairs(x, y):
     assert math.gcd(den, *num.values()) == 1
 
 
+def _shift_pairs():
+    # seeded pairs with c- and e-exponents up to 8 on both sides, answered
+    # from the memo entry of their shift class, then pairs with x = c^k e^m
+    # or y = e^t, whose class has ONE as a factor
+    shift = random.Random(18)
+    pairs = []
+    for _ in range(24):
+        x = (shift.randint(0, 2), shift.randint(0, 2), shift.randint(0, 8),
+             shift.randint(0, 2), shift.randint(0, 8))
+        y = (shift.randint(0, 2), shift.randint(0, 2), shift.randint(0, 8),
+             shift.randint(0, 2), shift.randint(0, 8))
+        pairs.append((x, y))
+    pairs += [((0, 0, 8, 0, 3), (1, 2, 1, 2, 8)), ((0, 0, 0, 0, 5), (0, 1, 2, 1, 0)),
+              ((0, 0, 8, 0, 8), (0, 0, 0, 0, 8))]
+    pairs += [((2, 1, 3, 2, 4), (0, 0, 0, 0, 8)), ((1, 2, 0, 1, 0), (0, 0, 0, 0, 1))]
+    return pairs
+
+
+SHIFT_PAIRS = _shift_pairs()
+
+
+@pytest.mark.parametrize("x, y", SHIFT_PAIRS)
+def test_closed_form_agrees_with_operators_on_shifted_pairs(x, y):
+    assert l_of_monomial(x).apply(UElement({y: 1})) == mul_u_closed(x, y)
+
+
 def test_clear_memos_empties_kernel_tables():
     x = U((3, 3, 0, 3, 0))
     associator_u(x, x, x)

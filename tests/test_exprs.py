@@ -206,6 +206,15 @@ def test_json_types_only_quotient_elements():
     )
 
 
+@pytest.mark.parametrize(
+    "el", [MalcevVector.basis("c"), Operator.deriv("a"), object()],
+    ids=["MalcevVector", "Operator", "object"],
+)
+def test_json_takes_only_envelope_and_quotient_elements(el):
+    with pytest.raises(TypeError, match=f"UElement or an AElement, got {type(el).__name__}"):
+        element_json(el)
+
+
 @pytest.mark.parametrize("cls", [MalcevVector, Operator, object])
 def test_parse_element_builds_only_envelope_and_quotient_elements(cls):
     with pytest.raises(TypeError, match="UElement or an AElement"):
@@ -441,6 +450,10 @@ def _sums(elements):
 @given(x=st.one_of(*map(_sums, _ELEMENTS)))
 def test_str_and_json_match_fraction_renderer(x):
     assert str(x) == _reference_str(x)
+    if type(x) is Operator:  # JSON is for envelope and quotient elements only
+        with pytest.raises(TypeError, match="got Operator"):
+            element_json(x)
+        return
     for with_type in (False, True) if type(x) is AElement else (False,):
         assert element_json(x, with_type=with_type) == _reference_json(x, with_type)
 
