@@ -20,7 +20,8 @@ closed formulas, the sparse linear combination type that the other modules
 build on, vectors of the base algebra with ``_BRACKETS``, the one table of
 the defining brackets (read by :func:`bracket_m` and by the recursive
 oracle, never by the closed kernel or the operator tables), and
-:func:`memoized`, the one memo mechanism.
+:func:`memoized`, the one memo mechanism, with :func:`memo_info` its one
+readout.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def _are_exponents(values) -> bool:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             return False
     return True
+
+
+def _is_coefficient(value) -> bool:
+    """The one coefficient rule: a ``Rational`` that is not a ``bool``."""
+    return isinstance(value, Rational) and not isinstance(value, bool)
 
 
 def _check_monomial(mono) -> None:
@@ -299,7 +305,7 @@ class _SparseElement:
         acc, den = {}, 1
         for key, coeff in items:
             self._check_basis(key)
-            if not isinstance(coeff, Rational):
+            if not _is_coefficient(coeff):
                 raise TypeError(f"coefficients must be rational, got {coeff!r}")
             den = _accumulate(acc, den, coeff.numerator, coeff.denominator, {key: 1})
         self._den, self._num = _reduced(den, _pruned(acc))
@@ -375,7 +381,7 @@ class _SparseElement:
         return type(self)._make(self._den, {key: -n for key, n in self._num.items()})
 
     def __rmul__(self, scalar):
-        if not isinstance(scalar, Rational):
+        if not _is_coefficient(scalar):
             return NotImplemented
         if not scalar:
             return type(self).zero()
@@ -542,3 +548,8 @@ def clear_memos() -> None:
     """Empty every memo table (mainly useful for measuring cold runs)."""
     for cached in _MEMOIZED:
         cached.cache_clear()
+
+
+def memo_info() -> dict:
+    """``{qualified name: cache_info()}`` for every memo table, in creation order."""
+    return {f"{cached.__module__}.{cached.__qualname__}": cached.cache_info() for cached in _MEMOIZED}

@@ -16,7 +16,9 @@ Two independent multiplication routes live here and must agree everywhere:
   ``(den, numerators)`` like every kernel, and each term of an identity is
   one :func:`~malcev5.core._sum_into` over memoized sub-results, the loop
   that every product shares; a one-term operand such as ``(3, {g: 1})``
-  carries a fixed letter and the identity's ``1/3``.
+  carries a fixed letter and the identity's ``1/3``.  An empty or one-term
+  result is one shared object, ``_EMPTY`` or an entry of ``_one_term``, so
+  the three memo tables hold no copies of the many that repeat.
 
 The recursion is the ground truth the closed form is tested against; the
 closed form is what everything else uses.  ``check oracle`` compares the
@@ -228,6 +230,38 @@ def mul_cde_closed(x: Monomial, y: Monomial) -> UElement:
 # recursive oracle route
 # ---------------------------------------------------------------------------
 
+#: the oracle's empty result, one object for every key that has it
+_EMPTY = (1, {})
+
+
+@memoized
+def _one_term(den: int, mono: Monomial, n: int) -> tuple:
+    """``(den, {mono: n})``, one object per value: the oracle's one-term results.
+
+    Most of the oracle's results have at most one term and repeat across
+    keys, so each recursion returns the shared object, and its memo tables
+    hold references instead of copies.  The closed kernel and the operator
+    route never read this table.
+    """
+    return den, {mono: n}
+
+
+def _shared(den: int, num: dict) -> tuple:
+    """``(den, num)``, as the shared object when it has at most one term.
+
+    Called at the return of a recursion's general branch, never around the
+    memoized function, which would add a frame at every level.  The base
+    cases call :func:`_one_term` or return ``_EMPTY`` themselves, so the
+    deepest frame gains nothing.
+    """
+    if len(num) > 1:
+        return den, num
+    if not num:
+        return _EMPTY
+    ((mono, n),) = num.items()
+    return _one_term(den, mono, n)
+
+
 def _leading(mono):
     # index of the smallest letter present; monomials here are never empty
     for v in range(5):
@@ -255,17 +289,17 @@ def _lmul_letter(f, x):
     factor or is an ordered prepend.
     """
     if x == ONE:
-        return 1, {_UNIT[f]: 1}
+        return _one_term(1, _UNIT[f], 1)
     g = _leading(x)
     if f <= g:
-        return 1, {_prepended(f, x): 1}
+        return _one_term(1, _prepended(f, x), 1)
     y = _strip(x, g)
     fg = _BRACKETS.get((f, g), {})
     if y == ONE:
         # f * g with f > g: reorder plus the degree-1 bracket
         out = {_prepended(g, _UNIT[f]): 1}
         out.update((_UNIT[h], n) for h, n in fg.items())
-        return 1, out
+        return _shared(1, out)
     out, den, y1 = {}, 1, (1, {y: 1})
     # g (f y) + [f,g] y
     den = _sum_into(out, den, _lmul_letter, 1, (1, {g: 1}), _lmul_letter(f, y))
@@ -274,7 +308,7 @@ def _lmul_letter(f, x):
     den = _sum_into(out, den, _bracket_mono, -1, (3, {g: 1}), _bracket_mono(f, y))
     den = _sum_into(out, den, _bracket_mono, 1, (3, {f: 1}), _bracket_mono(g, y))
     den = _sum_into(out, den, _bracket_mono, 1, (3, fg), y1)
-    return _reduced(den, _pruned(out))
+    return _shared(*_reduced(den, _pruned(out)))
 
 
 @memoized
@@ -285,12 +319,12 @@ def _bracket_mono(f, x):
     :func:`_lmul_letter` has ``1/3``.
     """
     if x == ONE:
-        return 1, {}
+        return _EMPTY
     g = _leading(x)
     y = _strip(x, g)
     gf = _BRACKETS.get((g, f), {})
     if y == ONE:
-        return 1, {_UNIT[h]: n for h, n in gf.items()}
+        return _shared(1, {_UNIT[h]: n for h, n in gf.items()})
     out, den, y1 = {}, 1, (1, {y: 1})
     byf = _bracket_mono(f, y)
     # [g,f] y + g [y,f]
@@ -300,7 +334,7 @@ def _bracket_mono(f, x):
     den = _sum_into(out, den, _bracket_mono, 1, (2, {g: 1}), byf)
     den = _sum_into(out, den, _bracket_mono, -1, (2, {f: 1}), _bracket_mono(g, y))
     den = _sum_into(out, den, _bracket_mono, -1, (2, _BRACKETS.get((f, g), {})), y1)
-    return _reduced(den, _pruned(out))
+    return _shared(*_reduced(den, _pruned(out)))
 
 
 @memoized
@@ -311,9 +345,9 @@ def _mul_mono(x, z):
     as ``(den, numerators)``.
     """
     if x == ONE:
-        return 1, {z: 1}
+        return _one_term(1, z, 1)
     if z == ONE:
-        return 1, {x: 1}
+        return _one_term(1, x, 1)
     f = _leading(x)
     xt = _strip(x, f)
     if xt == ONE:
@@ -324,7 +358,7 @@ def _mul_mono(x, z):
     den = _sum_into(out, den, _bracket_mono, 1, f1, xz)
     den = _sum_into(out, den, _mul_mono, -1, xt1, _lmul_letter(f, z))
     den = _sum_into(out, den, _mul_mono, -1, xt1, _bracket_mono(f, z))
-    return _reduced(den, _pruned(out))
+    return _shared(*_reduced(den, _pruned(out)))
 
 
 def mul_u_oracle(x: UElement, y: UElement) -> UElement:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from malcev5 import core, diffops, envelope
+from malcev5 import alternative, core, diffops, envelope
 from malcev5.core import (
     LETTERS,
     ONE,
@@ -241,6 +241,23 @@ def test_uelement_scalar_types():
     assert 0 * x == UElement.zero()
 
 
+BOOL_COEFFICIENTS = {
+    "UElement": lambda: UElement({ONE: True}),
+    "AElement": lambda: alternative.AElement({ONE: True}),
+    "MalcevVector": lambda: MalcevVector((True, 0, 0, 0, 0)),
+    "Operator": lambda: diffops.Operator.word(ONE, (0, 0, 0, 0), True),
+    "True * x": lambda: True * UElement.one(),
+    "x * False": lambda: UElement.one() * False,
+}
+
+
+@pytest.mark.parametrize("build", BOOL_COEFFICIENTS.values(), ids=BOOL_COEFFICIENTS)
+def test_bool_is_not_a_coefficient(build):
+    # like a bool exponent: True equals 1, but is not a rational coefficient
+    with pytest.raises(TypeError, match="True|bool"):
+        build()
+
+
 def test_uelement_vector_space_axioms():
     def rand_element():
         terms = {}
@@ -382,6 +399,7 @@ def memoized_kernels():
     return [
         envelope._closed_class,
         envelope._beta_row,
+        envelope._one_term,
         envelope._lmul_letter,
         envelope._bracket_mono,
         envelope._mul_mono,
@@ -403,6 +421,15 @@ def test_clear_memos_empties_every_table():
     clear_memos()
     assert all(cached.cache_info().currsize == 0 for cached in kernels)
     assert envelope.clear_memos is clear_memos
+
+
+def test_memo_info_names_every_table():
+    clear_memos()
+    fill_memos()
+    assert core.memo_info() == {
+        f"malcev5.envelope.{cached.__name__}": cached.cache_info() for cached in memoized_kernels()}
+    clear_memos()
+    assert all(stats.currsize == 0 for stats in core.memo_info().values())
 
 
 def test_operator_route_reads_no_memo():

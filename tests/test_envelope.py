@@ -183,6 +183,33 @@ def test_oracle_depth_at_degree_thirty():
     assert got.coefficient((0, 0, 30, 30, 0)) == 1
 
 
+def test_small_oracle_results_are_shared():
+    core.clear_memos()
+    ab = (1, 1, 0, 0, 0)
+    one_term = envelope._mul_mono(core.ONE, ab)
+    assert one_term == (1, {ab: 1})
+    assert envelope._mul_mono(ab, core.ONE) is one_term
+    assert envelope._lmul_letter(0, (0, 1, 0, 0, 0)) is one_term
+    # [a, e], [b, d], [1, c] and [ab, e] are 0: one constant for every empty result
+    for f, x in ((4, (1, 0, 0, 0, 0)), (3, (0, 1, 0, 0, 0)), (2, core.ONE), (4, ab)):
+        assert envelope._bracket_mono(f, x) is envelope._EMPTY
+    assert envelope._EMPTY == (1, {})
+    core.clear_memos()
+
+
+def test_closed_route_reads_no_oracle_memo():
+    # the closed kernel fills its own tables and none of the oracle's
+    core.clear_memos()
+    x = U((1, 1, 1, 1, 1))
+    mul_u(x, x + U((0, 2, 0, 1, 0)))
+    associator_u(x, U((2, 0, 0, 1, 0)), x)
+    info = core.memo_info()
+    assert info["malcev5.envelope._closed_class"].currsize
+    oracle = ("_one_term", "_lmul_letter", "_bracket_mono", "_mul_mono")
+    assert all(info[f"malcev5.envelope.{name}"].currsize == 0 for name in oracle)
+    core.clear_memos()
+
+
 def test_oracle_builds_no_fraction(monkeypatch):
     monos = [U(m) for m in monomials_up_to(3)]
     built = []
