@@ -258,22 +258,12 @@ def _bilinear(kernel, *pairs):
     """``sum sign * xy`` over ``(sign, x, y)`` pairs, of the first ``x``'s type.
 
     ``xy`` extends ``kernel(kx, ky) -> (den, numerators)``, none zero, by
-    :func:`_sum_into`, and the sum is reduced once.  A lone pair of one-term
-    operands shares the kernel's numerators (copied only to scale them), so
-    no caller may mutate a result.
+    :func:`_sum_into`, and the sum is reduced once.
     """
-    sign, x, y = pairs[0]
-    if len(pairs) == 1 and len(x._num) == 1 == len(y._num):
-        ((kx, cx),), ((ky, cy),) = x._num.items(), y._num.items()
-        kden, terms = kernel(kx, ky)
-        c = sign * cx * cy
-        if c != 1:
-            terms = {key: c * n for key, n in terms.items()} if c else {}
-        return type(x)._make(*_reduced(x._den * y._den * kden, terms))
     out, den = {}, 1
-    for sign, u, v in pairs:
-        den = _sum_into(out, den, kernel, sign, (u._den, u._num), (v._den, v._num))
-    return type(x)._make(*_reduced(den, _pruned(out)))
+    for sign, x, y in pairs:
+        den = _sum_into(out, den, kernel, sign, (x._den, x._num), (y._den, y._num))
+    return type(pairs[0][1])._make(*_reduced(den, _pruned(out)))
 
 
 class _SparseElement:
@@ -307,7 +297,8 @@ class _SparseElement:
             self._check_basis(key)
             if not _is_coefficient(coeff):
                 raise TypeError(f"coefficients must be rational, got {coeff!r}")
-            den = _accumulate(acc, den, coeff.numerator, coeff.denominator, {key: 1})
+            # int(): a numpy integer is a Rational too, but of fixed width
+            den = _accumulate(acc, den, int(coeff.numerator), int(coeff.denominator), {key: 1})
         self._den, self._num = _reduced(den, _pruned(acc))
 
     @classmethod
@@ -364,8 +355,12 @@ class _SparseElement:
             out.append((key, str(n // g) if g == den else f"{n // g}/{den // g}"))
         return out
 
-    def coefficient(self, mono) -> Rational:
-        return self.terms.get(mono, 0)
+    def coefficient(self, key) -> Rational:
+        """The coefficient of ``key``, as in ``terms``; ``ValueError`` unless
+        ``key`` is a basis key."""
+        self._check_basis(key)
+        n, den = self._num.get(key, 0), self._den
+        return Fraction(n, den) if n % den else n // den
 
     def __add__(self, other, sign=1):
         if type(other) is not type(self):
@@ -385,8 +380,9 @@ class _SparseElement:
             return NotImplemented
         if not scalar:
             return type(self).zero()
-        num = {key: scalar.numerator * n for key, n in self._num.items()}
-        return type(self)._make(*_reduced(self._den * scalar.denominator, num))
+        c = int(scalar.numerator)
+        num = {key: c * n for key, n in self._num.items()}
+        return type(self)._make(*_reduced(self._den * int(scalar.denominator), num))
 
     __mul__ = __rmul__
 
@@ -472,7 +468,8 @@ class MalcevVector(_SparseElement):
 
     @staticmethod
     def _check_basis(v) -> None:
-        """Every key is a letter index, as ``enumerate`` gives them."""
+        if type(v) is not int or not 0 <= v < 5:
+            raise ValueError(f"a vector's key is a letter index 0..4, got {v!r}")
 
     @property
     def coords(self) -> tuple:

@@ -137,16 +137,11 @@ def _closed_class(x: Monomial, y: Monomial) -> tuple:
     ``k``, ``m`` and ``t`` only shift the output: ``K``, every weight, every
     bound and ``_beta_row`` read ``i, j, l, p, q, r, s`` alone, ``k`` enters
     only ``c0 = r+k-l`` and ``m+t`` only the e-exponent ``l+m+t+w0-u-v``.
-    The ``ONE`` returns agree with that: for ``x = c^k e^m`` the general sum
-    gives ``{(p, q, r+k, s, m+t): 1}`` and for ``y = e^t`` it gives ``{(i, j,
-    k, l, m+t): 1}``.  The shift is injective and keeps the order of the
-    terms, so :func:`_closed_terms` returns the unshifted sum's dict order.
+    So for ``x = c^k e^m`` the sum is ``{(p, q, r+k, s, m+t): 1}`` and for
+    ``y = e^t`` it is ``{(i, j, k, l, m+t): 1}``.  The shift is injective and
+    keeps the order of the terms, so :func:`_closed_terms` returns the
+    unshifted sum's dict order.
     """
-    if x == ONE:
-        return 1, {y: 1}
-    if y == ONE:
-        return 1, {x: 1}
-
     i, j, k, l, m = x
     p, q, r, s, t = y
     comb, perm = math.comb, math.perm
@@ -295,11 +290,6 @@ def _lmul_letter(f, x):
         return _one_term(1, _prepended(f, x), 1)
     y = _strip(x, g)
     fg = _BRACKETS.get((f, g), {})
-    if y == ONE:
-        # f * g with f > g: reorder plus the degree-1 bracket
-        out = {_prepended(g, _UNIT[f]): 1}
-        out.update((_UNIT[h], n) for h, n in fg.items())
-        return _shared(1, out)
     out, den, y1 = {}, 1, (1, {y: 1})
     # g (f y) + [f,g] y
     den = _sum_into(out, den, _lmul_letter, 1, (1, {g: 1}), _lmul_letter(f, y))
@@ -323,8 +313,6 @@ def _bracket_mono(f, x):
     g = _leading(x)
     y = _strip(x, g)
     gf = _BRACKETS.get((g, f), {})
-    if y == ONE:
-        return _shared(1, {_UNIT[h]: n for h, n in gf.items()})
     out, den, y1 = {}, 1, (1, {y: 1})
     byf = _bracket_mono(f, y)
     # [g,f] y + g [y,f]
@@ -346,8 +334,6 @@ def _mul_mono(x, z):
     """
     if x == ONE:
         return _one_term(1, z, 1)
-    if z == ONE:
-        return _one_term(1, x, 1)
     f = _leading(x)
     xt = _strip(x, f)
     if xt == ONE:

@@ -5,8 +5,8 @@ Exact cancellations check the rule on every result path; a small
 property-based test compares the three product routes on random rational
 elements and checks bilinearity with a scalar that is not a unit.  The
 fused sums of products are checked against their one-pair products over
-every kernel, and the one-pair fast path, which can share a memoized
-kernel dict, against the general loop and against mutation.
+every kernel, and a product that shares a memoized kernel dict against
+mutation.
 """
 
 import math
@@ -39,7 +39,7 @@ from malcev5 import (
 from malcev5.alternative import _mul_a_mono, in_ideal_j
 from malcev5.core import _bilinear
 from malcev5.diffops import _apply_word, _compose_words
-from malcev5.envelope import _closed_terms, bracket_u_oracle
+from malcev5.envelope import _closed_terms, bracket_u_oracle, mul_u_closed
 
 
 def assert_no_zero_stored(el):
@@ -191,18 +191,7 @@ def test_fused_sum_is_the_sum_of_its_products(name, data):
     assert_canonical(got)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(sorted(KERNELS)), sign=st.integers(-3, 3), data=st.data())
-def test_fast_path_matches_the_general_loop(name, sign, data):
-    kernel, left, right = KERNELS[name]
-    x, y = data.draw(sparse(*left, max_size=1)), data.draw(sparse(*right, max_size=1))
-    fast = _bilinear(kernel, (sign, x, y))
-    loop = _bilinear(kernel, (sign, x, y), (0, x, y))  # a second pair takes the loop
-    assert (fast._den, fast._num) == (loop._den, loop._num)
-    assert_canonical(fast)
-
-
-def test_fast_path_zero_products():
+def test_zero_products_have_denominator_one():
     # D_b kills a, type 1 times type 1 is zero, and a zero sign: den 1 each time
     half_a = UElement({(1, 0, 0, 0, 0): Fraction(1, 2)})
     zeros = [
@@ -215,19 +204,19 @@ def test_fast_path_zero_products():
         assert (got._den, got._num) == (1, {})
 
 
-def test_fast_path_product_leaves_the_memo_intact():
-    # a fast-path product of two monomials shares _closed_terms's cached dict
+def test_closed_kernel_product_leaves_the_memo_intact():
+    # mul_u_closed of an unshifted pair shares _closed_terms's cached dict
     x, y = (1, 1, 0, 1, 0), (0, 1, 1, 1, 0)
     den, cached = _closed_terms(x, y)
     before = dict(cached)
     assert den != 1 and len(cached) > 1
-    p = mul_u(UElement.from_monomial(x), UElement.from_monomial(y))
+    p = mul_u_closed(x, y)
     assert p._num is cached
     q = UElement({(0, 0, 0, 0, 1): Fraction(1, 5), next(iter(cached)): 7})
     results = [
         p + p, p + q, q + p, p - p, p - q, q - p, -p, 3 * p, p * Fraction(2, 3), 0 * p,
         project(p), p == q, p == p, hash(p), str(p), repr(p), dict(p.terms),
-        mul_u(2 * UElement.from_monomial(x), UElement.from_monomial(y)),
+        mul_u(2 * UElement.from_monomial(x), UElement.from_monomial(y)), mul_u(p, p.one()),
     ]
     assert _closed_terms(x, y) == (den, before)
     assert cached == before and results[3] == UElement.zero()

@@ -258,6 +258,48 @@ def test_bool_is_not_a_coefficient(build):
         build()
 
 
+def test_numpy_integers_give_exact_numerators():
+    # a numpy integer is a Rational of fixed width: stored as given, 4 * 2^62
+    # and 2^62 * 2^62 overflow to 0
+    np = pytest.importorskip("numpy")
+    a = (1, 0, 0, 0, 0)
+    x = UElement({a: np.int64(2**62)})
+    assert str(4 * x) == f"{2**64} a"
+    assert str(envelope.mul_u(x, x)) == f"{2**124} a^2"
+    half = Fraction(np.int64(3), np.int64(6))
+    built = [
+        x,
+        UElement({a: np.int64(3), ONE: half}),
+        alternative.AElement({a: np.int64(-3), ONE: half}),
+        MalcevVector((np.int64(3), half, 0, 0, 0)),
+        diffops.Operator.word(ONE, (1, 0, 0, 0), half),
+        np.int64(3) * UElement.from_letter("a"),
+        UElement.from_letter("a") * np.int64(3),
+        half * UElement.from_letter("a"),
+        UElement.from_letter("a") * half,
+    ]
+    for el in built:
+        assert isinstance(el, core._SparseElement)
+        assert type(el._den) is int and all(type(n) is int for n in el._num.values()), repr(el)
+
+
+BAD_KEYS = {
+    "bool exponent": (UElement.from_letter("a"), (True, 0, 0, 0, 0)),
+    "short tuple": (UElement.from_letter("a"), (1, 2)),
+    "letter": (UElement.from_letter("a"), "a"),
+    "ideal monomial": (alternative.AElement.from_letter("a"), (0, 0, 0, 0, 2)),
+    "vector letter": (MalcevVector.basis("a"), "a"),
+    "vector bool": (MalcevVector.basis("b"), True),
+    "operator monomial": (diffops.Operator.identity(), ONE),
+}
+
+
+@pytest.mark.parametrize("element, key", BAD_KEYS.values(), ids=BAD_KEYS)
+def test_coefficient_rejects_a_key_outside_the_basis(element, key):
+    with pytest.raises(ValueError):
+        element.coefficient(key)
+
+
 def test_uelement_vector_space_axioms():
     def rand_element():
         terms = {}

@@ -197,6 +197,29 @@ def test_small_oracle_results_are_shared():
     core.clear_memos()
 
 
+def test_unit_and_letter_inputs_take_the_general_path():
+    # no route has a special case for a unit factor or a lone letter: the
+    # closed sum and the recursions give these products by their general path
+    core.clear_memos()
+    ONE, UNIT, BRACKETS = core.ONE, core._UNIT, core._BRACKETS
+    monos = list(monomials_up_to(5))
+    for x in monos:
+        assert envelope._closed_class(ONE, x) == (1, {x: 1})
+        assert envelope._closed_class(x, ONE) == (1, {x: 1})
+        assert envelope._mul_mono(x, ONE) is envelope._one_term(1, x, 1)
+    for f, g in itertools.product(range(5), repeat=2):
+        # f g is the ordered monomial, plus [f, g] when f comes after g
+        fg = BRACKETS.get((f, g), {}) if f > g else {}
+        want = {envelope._prepended(min(f, g), UNIT[max(f, g)]): 1}
+        want.update((UNIT[h], n) for h, n in fg.items())
+        den, got = envelope._lmul_letter(f, UNIT[g])
+        assert den == 1 and list(got.items()) == list(want.items())
+        # [g, f] is the defining bracket
+        want = {UNIT[h]: n for h, n in BRACKETS.get((g, f), {}).items()}
+        assert envelope._bracket_mono(f, UNIT[g]) == (1, want)
+    core.clear_memos()
+
+
 def test_closed_route_reads_no_oracle_memo():
     # the closed kernel fills its own tables and none of the oracle's
     core.clear_memos()
