@@ -6,19 +6,18 @@ Two independent multiplication routes live here and must agree everywhere:
   integer sum: the left-multiplication operator of :mod:`malcev5.diffops` on
   a basis monomial, with four of the nine sums of its word expansion closed;
 * :func:`mul_u_oracle` -- a recursive evaluator that knows nothing about
-  operators or closed sums.  It reduces every product to the degree-lowering
-  identities forced by the defining brackets, which it reads from
-  ``core._BRACKETS``, the table :func:`~malcev5.core.bracket_m` extends and
-  the other two routes never read: a bracket recursion that peels the
-  smallest letter off the left factor of ``[x, f]``, a left-multiplication
-  recursion for ``f * x`` with a single generator on the left, and a
-  generator-peeling identity for general products.  Each recursion returns
-  ``(den, numerators)`` like every kernel, and each term of an identity is
-  one :func:`~malcev5.core._sum_into` over memoized sub-results, the loop
-  that every product shares; a one-term operand such as ``(3, {g: 1})``
-  carries a fixed letter and the identity's ``1/3``.  An empty or one-term
-  result is one shared object, ``_EMPTY`` or an entry of ``_one_term``, so
-  the three memo tables hold no copies of the many that repeat.
+  operators or closed sums.  It reduces every product to three
+  degree-lowering identities forced by the defining brackets, each written
+  once as a table of terms: ``_LMUL_IDENTITY`` (``f * x`` for a generator
+  ``f``), ``_BRACKET_IDENTITY`` (``[x, f]``) and ``_MUL_IDENTITY`` (a
+  general product, peeling a generator off its left factor).  It reads the
+  brackets from ``core._BRACKETS``, which :func:`~malcev5.core.bracket_m`
+  extends and the other two routes never read.  Each recursion returns
+  ``(den, numerators)`` like every kernel, and each row of its table is one
+  :func:`~malcev5.core._sum_into` over memoized sub-results.  An empty or
+  one-term result is one shared object, ``_EMPTY`` or an entry of
+  ``_one_term``, so the three memo tables hold no copies of the many that
+  repeat.  The tests evaluate the same tables on closed products.
 
 The recursion is the ground truth the closed form is tested against; the
 closed form is what everything else uses.  ``check oracle`` compares the
@@ -273,15 +272,47 @@ def _prepended(v, mono):
     return mono[:v] + (mono[v] + 1,) + mono[v + 1:]
 
 
+#: ``f x`` for a letter ``f`` above the smallest letter ``g`` of ``x = g y``:
+#: ``g (f y) + [f,g] y - 1/3 [[y,f],g] + 1/3 [[y,g],f] + 1/3 [y,[f,g]]``.
+#: A row ``(sign, den, left, product, right)`` is the term ``sign/den`` times
+#: ``left right`` ("lmul" with ``left`` of degree 1, "mul") or ``[right, left]``
+#: ("bracket"); the operands are named as in the formula, and each recursion
+#: resolves the names through its own memoized sub-results.
+_LMUL_IDENTITY = (
+    (1, 1, "g", "lmul", "f y"),
+    (1, 1, "[f,g]", "lmul", "y"),
+    (-1, 3, "g", "bracket", "[y,f]"),
+    (1, 3, "f", "bracket", "[y,g]"),
+    (1, 3, "[f,g]", "bracket", "y"),
+)
+
+#: ``[x, f]`` for a letter ``f`` and ``x = g y``, ``g`` its smallest letter:
+#: ``-[f,g] y + g [y,f] + 1/2 [[y,f],g] - 1/2 [[y,g],f] - 1/2 [y,[f,g]]``.
+_BRACKET_IDENTITY = (
+    (-1, 1, "[f,g]", "lmul", "y"),
+    (1, 1, "g", "lmul", "[y,f]"),
+    (1, 2, "g", "bracket", "[y,f]"),
+    (-1, 2, "f", "bracket", "[y,g]"),
+    (-1, 2, "[f,g]", "bracket", "y"),
+)
+
+#: ``x z`` for ``x = f x'``, ``f`` its smallest letter and ``x' != 1``:
+#: ``2 f (x'z) + [x'z, f] - x' (f z) - x' [z,f]``.
+_MUL_IDENTITY = (
+    (2, 1, "f", "lmul", "x'z"),
+    (1, 1, "f", "bracket", "x'z"),
+    (-1, 1, "x'", "mul", "f z"),
+    (-1, 1, "x'", "mul", "[z,f]"),
+)
+
+
 @memoized
 def _lmul_letter(f, x):
     """``f * x`` for a generator index ``f`` and monomial ``x``, as ``(den, numerators)``.
 
-    Fast path: when ``f`` does not exceed the smallest letter of ``x`` the
-    product is the ordered monomial itself.  Otherwise the degree-lowering
-    left-multiplication identity applies; the recursion peels the smallest
-    letter ``g`` of ``x`` and every sub-product either shrinks the right
-    factor or is an ordered prepend.
+    The ordered monomial when ``f`` does not exceed the smallest letter
+    ``g`` of ``x``, else ``_LMUL_IDENTITY``, whose every sub-product either
+    shrinks the right factor or is an ordered prepend.
     """
     if x == ONE:
         return _one_term(1, _UNIT[f], 1)
@@ -289,62 +320,50 @@ def _lmul_letter(f, x):
     if f <= g:
         return _one_term(1, _prepended(f, x), 1)
     y = _strip(x, g)
-    fg = _BRACKETS.get((f, g), {})
-    out, den, y1 = {}, 1, (1, {y: 1})
-    # g (f y) + [f,g] y
-    den = _sum_into(out, den, _lmul_letter, 1, (1, {g: 1}), _lmul_letter(f, y))
-    den = _sum_into(out, den, _lmul_letter, 1, (1, fg), y1)
-    # - 1/3 [[y,f],g] + 1/3 [[y,g],f] + 1/3 [y,[f,g]]
-    den = _sum_into(out, den, _bracket_mono, -1, (3, {g: 1}), _bracket_mono(f, y))
-    den = _sum_into(out, den, _bracket_mono, 1, (3, {f: 1}), _bracket_mono(g, y))
-    den = _sum_into(out, den, _bracket_mono, 1, (3, fg), y1)
+    ops = {"f": {f: 1}, "g": {g: 1}, "[f,g]": _BRACKETS.get((f, g), {}), "y": (1, {y: 1}),
+           "f y": _lmul_letter(f, y), "[y,f]": _bracket_mono(f, y), "[y,g]": _bracket_mono(g, y)}
+    out, den = {}, 1
+    for sign, d, left, product, right in _LMUL_IDENTITY:
+        den = _sum_into(out, den, _ORACLE[product], sign, (d, ops[left]), ops[right])
     return _shared(*_reduced(den, _pruned(out)))
 
 
 @memoized
 def _bracket_mono(f, x):
-    """``[x, f]`` for a generator index ``f`` and monomial ``x``, as ``(den, numerators)``.
-
-    Peels the smallest letter ``g`` off ``x = g y``, with ``1/2`` where
-    :func:`_lmul_letter` has ``1/3``.
-    """
+    """``[x, f]`` for a generator index ``f`` and monomial ``x``, as ``(den, numerators)``,
+    by ``_BRACKET_IDENTITY``."""
     if x == ONE:
         return _EMPTY
     g = _leading(x)
     y = _strip(x, g)
-    gf = _BRACKETS.get((g, f), {})
-    out, den, y1 = {}, 1, (1, {y: 1})
-    byf = _bracket_mono(f, y)
-    # [g,f] y + g [y,f]
-    den = _sum_into(out, den, _lmul_letter, 1, (1, gf), y1)
-    den = _sum_into(out, den, _lmul_letter, 1, (1, {g: 1}), byf)
-    # + 1/2 [[y,f],g] - 1/2 [[y,g],f] - 1/2 [y,[f,g]]
-    den = _sum_into(out, den, _bracket_mono, 1, (2, {g: 1}), byf)
-    den = _sum_into(out, den, _bracket_mono, -1, (2, {f: 1}), _bracket_mono(g, y))
-    den = _sum_into(out, den, _bracket_mono, -1, (2, _BRACKETS.get((f, g), {})), y1)
+    ops = {"f": {f: 1}, "g": {g: 1}, "[f,g]": _BRACKETS.get((f, g), {}), "y": (1, {y: 1}),
+           "[y,f]": _bracket_mono(f, y), "[y,g]": _bracket_mono(g, y)}
+    out, den = {}, 1
+    for sign, d, left, product, right in _BRACKET_IDENTITY:
+        den = _sum_into(out, den, _ORACLE[product], sign, (d, ops[left]), ops[right])
     return _shared(*_reduced(den, _pruned(out)))
 
 
 @memoized
 def _mul_mono(x, z):
-    """``x * z`` for basis monomials, by the generator-peeling recursion.
-
-    With ``x = f x'``: ``x z = 2 f(x' z) + [x' z, f] - x'(f z) - x'[z, f]``,
-    as ``(den, numerators)``.
-    """
+    """``x * z`` for basis monomials, as ``(den, numerators)``: ``_MUL_IDENTITY``
+    when ``x = f x'`` with ``x' != 1``, else a unit or a letter product."""
     if x == ONE:
         return _one_term(1, z, 1)
     f = _leading(x)
     xt = _strip(x, f)
     if xt == ONE:
         return _lmul_letter(f, z)
-    out, den, f1, xt1 = {}, 1, (1, {f: 1}), (1, {xt: 1})
-    xz = _mul_mono(xt, z)
-    den = _sum_into(out, den, _lmul_letter, 2, f1, xz)
-    den = _sum_into(out, den, _bracket_mono, 1, f1, xz)
-    den = _sum_into(out, den, _mul_mono, -1, xt1, _lmul_letter(f, z))
-    den = _sum_into(out, den, _mul_mono, -1, xt1, _bracket_mono(f, z))
+    ops = {"f": {f: 1}, "x'": {xt: 1}, "x'z": _mul_mono(xt, z),
+           "f z": _lmul_letter(f, z), "[z,f]": _bracket_mono(f, z)}
+    out, den = {}, 1
+    for sign, d, left, product, right in _MUL_IDENTITY:
+        den = _sum_into(out, den, _ORACLE[product], sign, (d, ops[left]), ops[right])
     return _shared(*_reduced(den, _pruned(out)))
+
+
+#: each product name of the identity tables, as the recursion that computes it
+_ORACLE = {"lmul": _lmul_letter, "bracket": _bracket_mono, "mul": _mul_mono}
 
 
 def mul_u_oracle(x: UElement, y: UElement) -> UElement:

@@ -5,6 +5,7 @@ acceptance tests run them at their contractual sizes.  Here we only make
 sure every suite runs, passes, and reports deterministically at toy sizes.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -227,6 +228,70 @@ def test_type2_scan_is_sound(pair, term, extra, delta, recoefficient):
 def test_nucleus_claim_counts():
     counts = Counter(what for what, _, _ in checks._check_nucleus(4, 0, 0))
     assert counts == {"nucleus relations": 15680, "associator-commutator formula": 1400}
+
+
+# ---------------------------------------------------------------------------
+# coverage manifest: the claims each suite makes, by label
+
+
+def monomial_count(degree, letters=5):
+    # monomials of degree <= degree in that many letters
+    return math.comb(degree + letters, letters)
+
+
+SAMPLES = 20
+N3 = monomial_count(3)  # 56, the monomials of degree <= 3
+
+# {suite: {label: claims}} at max-degree 3, samples 20, seed 0; each count
+# is its loop bounds where they give a one-line formula
+COVERAGE_AT_3 = {
+    "oracle": {
+        "product routes": N3**2,
+        "degree filtration": N3**2,
+        "cde product": monomial_count(4, 3) ** 2,
+        "cde associativity": monomial_count(2, 3) ** 3,
+        "witness": 1,
+    },
+    "operators": {
+        "faithfulness": 2 * 5 * monomial_count(4),
+        "commutator table": 10 + 25 + 10,  # L-L and R-R pairs below the diagonal, L-R all
+        "power expansion": 2 * 5,
+        "left multiplication": N3,
+        "straightening": 100,
+        "compose associativity": SAMPLES,
+        "compose/apply": SAMPLES,
+    },
+    "nucleus": {
+        "nucleus relations": 5 * monomial_count(2) ** 2,
+        "associator-commutator formula": 25 * monomial_count(2),
+    },
+    "malcev": {
+        "Malcev identity in the base algebra": 5**3 + SAMPLES,
+        "Malcev identity in the envelope": 5**3 + SAMPLES,
+        "degree-1 commutator": 5**3 + SAMPLES,
+    },
+    "alternative": {
+        "alternator": 2,
+        "alternator projection": 2,
+        "alternativity": SAMPLES,
+        "type-1 slot": 8 * 24**2 * 3,
+        "alternation": 16**3 + SAMPLES,
+        "H + C decomposition": 2720,
+        "type-1 concatenation": 576,
+        "type-2 associator": 3 * 2**9,
+    },
+    "homomorphism": {"projection": N3**2},
+    "special": {"letter outside the alternator ideal": 5, "quotient commutator": 25},
+}
+
+
+def test_coverage_manifest():
+    counts = {name: dict(Counter(what for what, _, _ in suite(3, SAMPLES, 0)))
+              for name, suite in checks._SUITES.items()}
+    assert counts == COVERAGE_AT_3
+    totals = {name: sum(labels.values()) for name, labels in counts.items()}
+    assert totals == {"oracle": 8498, "operators": 1511, "nucleus": 2730, "malcev": 435,
+                      "alternative": 22796, "homomorphism": 3136, "special": 30}
 
 
 def faulty_product(real, pair):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from malcev5 import core, envelope
+from malcev5 import checks, core, envelope
 from malcev5.core import ComputationError, MalcevVector, UElement, bracket_m
 from malcev5.diffops import l_of_monomial, l_of_monomial_via_factors
 from malcev5.envelope import (
@@ -170,7 +170,7 @@ def test_oracle_recursion_overflow_reports():
 
 
 def test_oracle_depth_at_degree_thirty():
-    # d^30 c^30 needs 128 frames beyond its caller on 3.11; the margin is
+    # d^30 c^30 needs 130 frames beyond its caller on 3.11; the margin is
     # for other versions, and a recursion that grew per level would pass it
     core.clear_memos()
     limit = sys.getrecursionlimit()
@@ -345,6 +345,134 @@ SHIFT_PAIRS = _shift_pairs()
 @pytest.mark.parametrize("x, y", SHIFT_PAIRS)
 def test_closed_form_agrees_with_operators_on_shifted_pairs(x, y):
     assert l_of_monomial(x).apply(UElement({y: 1})) == mul_u_closed(x, y)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's identity tables, evaluated on the closed product
+
+LETTER_ELEMENTS = [UElement.from_letter(ch) for ch in "abcde"]
+
+
+def peeled(mono):
+    # the smallest letter of a monomial other than 1, and the rest
+    v = next(v for v in range(5) if mono[v])
+    return v, mono[:v] + (mono[v] - 1,) + mono[v + 1:]
+
+
+def table_value(table, ops):
+    # sum of the rows sign/den * (left right), or [right, left] for "bracket"
+    value = UElement.zero()
+    for sign, den, left, product, right in table:
+        a, b = ops[left], ops[right]
+        term = bracket_u(b, a) if product == "bracket" else mul_u(a, b)
+        value = value + Fraction(sign, den) * term
+    return value
+
+
+def identity_claims(pairs):
+    """The oracle's recursion steps at each pair, on ``mul_u`` and ``bracket_u``.
+
+    The unit factors, then for ``(x, z)``: ``x z`` by
+    ``envelope._MUL_IDENTITY`` when ``x = f x'`` with ``x' != 1``, and for
+    every letter ``f``, ``f z`` by ``_LMUL_IDENTITY`` when ``f`` exceeds the
+    smallest letter ``g`` of ``z`` (the ordered monomial when it does not)
+    and ``[z, f]`` by ``_BRACKET_IDENTITY``.  Claims for
+    ``checks._compare``.  The tables are read here at call time, and their
+    operand names resolved through the closed product: where every step
+    the recursion takes holds, the closed product equals the oracle.
+    """
+    one = UElement.one()
+    for f, F in enumerate(LETTER_ELEMENTS):
+        yield "unit", (f,), {"f 1": mul_u(F, one), "f": F}
+        yield "unit", (f,), {"[1, f]": bracket_u(one, F), "0": UElement.zero()}
+    for x, z in pairs:
+        X, Z = U(x), U(z)
+        yield "unit", (x, z), {"1 z": mul_u(one, Z), "z": Z}
+        if sum(x) > 1:
+            f, xt = peeled(x)
+            F, XT = LETTER_ELEMENTS[f], U(xt)
+            ops = {"f": F, "x'": XT, "x'z": mul_u(XT, Z), "f z": mul_u(F, Z),
+                   "[z,f]": bracket_u(Z, F)}
+            yield "mul identity", (x, z), {
+                "x z": mul_u(X, Z), "identity": table_value(envelope._MUL_IDENTITY, ops)}
+        if z == core.ONE:
+            continue
+        g, y = peeled(z)
+        G, Y = LETTER_ELEMENTS[g], U(y)
+        for f, F in enumerate(LETTER_ELEMENTS):
+            ops = {"f": F, "g": G, "[f,g]": bracket_u(F, G), "y": Y, "f y": mul_u(F, Y),
+                   "[y,f]": bracket_u(Y, F), "[y,g]": bracket_u(Y, G)}
+            if f <= g:
+                prepend = U(z[:f] + (z[f] + 1,) + z[f + 1:])
+                yield "ordered prepend", (f, z), {"f z": mul_u(F, Z), "prepend": prepend}
+            else:
+                yield "lmul identity", (f, z), {
+                    "f z": mul_u(F, Z), "identity": table_value(envelope._LMUL_IDENTITY, ops)}
+            yield "bracket identity", (f, z), {
+                "[z, f]": bracket_u(Z, F), "identity": table_value(envelope._BRACKET_IDENTITY, ops)}
+
+
+def seeded_pairs(degree, count=100):
+    # pairs of the given total degree, each unit of it on a random exponent
+    pick = random.Random(degree)
+    pairs = []
+    for _ in range(count):
+        exps = [0] * 10
+        for _ in range(degree):
+            exps[pick.randrange(10)] += 1
+        pairs.append((tuple(exps[:5]), tuple(exps[5:])))
+    return pairs
+
+
+IDENTITY_PAIRS = HIGH_DEGREE_PAIRS + KERNEL_EDGE_PAIRS + SHIFT_PAIRS
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [IDENTITY_PAIRS, seeded_pairs(8), seeded_pairs(10), seeded_pairs(12)],
+    ids=["fixed pairs", "degree 8", "degree 10", "degree 12"],
+)
+def test_oracle_identities_hold_on_the_closed_product(pairs):
+    assert checks._compare(identity_claims(pairs)) is None
+
+
+IDENTITY_ROWS = [(name, n) for name in ("_LMUL_IDENTITY", "_BRACKET_IDENTITY", "_MUL_IDENTITY")
+                 for n in range(len(getattr(envelope, name)))]
+
+
+@pytest.mark.parametrize("table, row", IDENTITY_ROWS)
+def test_sign_flip_in_an_identity_row_fails_both_readers(monkeypatch, table, row):
+    rows = list(getattr(envelope, table))
+    sign, *rest = rows[row]
+    rows[row] = (-sign, *rest)
+    monkeypatch.setattr(envelope, table, tuple(rows))
+    core.clear_memos()
+    try:
+        assert not checks.run_suite("oracle", 3, 0, 0).passed
+        assert checks._compare(identity_claims(IDENTITY_PAIRS)) is not None
+    finally:
+        core.clear_memos()  # the oracle memo holds results of the flipped row
+
+
+def test_identity_claims_catch_a_kernel_fault_above_degree_five(monkeypatch):
+    real = envelope._closed_terms
+
+    def faulty(x, y):
+        # the leading coefficient 1 becomes 2 once a factor has degree >= 6
+        den, num = real(x, y)
+        if max(sum(x), sum(y)) < 6:
+            return den, num
+        top = tuple(a + b for a, b in zip(x, y))
+        return den, {**num, top: num[top] + den}
+
+    monkeypatch.setattr(envelope, "_closed_terms", faulty)
+    core.clear_memos()
+    try:
+        assert checks.run_suite("oracle", 3, 0, 0).passed  # no factor there reaches 6
+        found = checks._compare(identity_claims(seeded_pairs(8)))
+    finally:
+        core.clear_memos()
+    assert found is not None
 
 
 def test_clear_memos_empties_kernel_tables():
