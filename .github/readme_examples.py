@@ -1,6 +1,6 @@
 """Run the README's command-line examples and compare their stdout.
 
-Usage: python3 .github/readme_examples.py [README]
+Usage: python3 .github/readme_examples.py
 
 Each example in a ``sh`` block of the README's "Command line" section is a
 ``$ malcev5 ...`` line followed by its expected stdout, one example per
@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 
-readme = open(sys.argv[1] if len(sys.argv) > 1 else "README.md", encoding="utf-8").read()
+readme = open("README.md", encoding="utf-8").read()
 section = readme.split("\n## Command line\n", 1)[1].split("\n### ", 1)[0]
 examples = [example.split("\n") for block in re.findall(r"```sh\n(.*?)```", section, re.S)
             for example in block.strip().split("\n\n")]

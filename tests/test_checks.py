@@ -243,7 +243,9 @@ SAMPLES = 20
 N3 = monomial_count(3)  # 56, the monomials of degree <= 3
 
 # {suite: {label: claims}} at max-degree 3, samples 20, seed 0; each count
-# is its loop bounds where they give a one-line formula
+# is its loop bounds where they give a one-line formula.  Suite totals:
+# oracle 8,498, operators 1,511, nucleus 2,730, malcev 435, alternative
+# 22,796, homomorphism 3,136, special 30.
 COVERAGE_AT_3 = {
     "oracle": {
         "product routes": N3**2,
@@ -289,9 +291,6 @@ def test_coverage_manifest():
     counts = {name: dict(Counter(what for what, _, _ in suite(3, SAMPLES, 0)))
               for name, suite in checks._SUITES.items()}
     assert counts == COVERAGE_AT_3
-    totals = {name: sum(labels.values()) for name, labels in counts.items()}
-    assert totals == {"oracle": 8498, "operators": 1511, "nucleus": 2730, "malcev": 435,
-                      "alternative": 22796, "homomorphism": 3136, "special": 30}
 
 
 def faulty_product(real, pair):
