@@ -11,6 +11,7 @@ deterministic for a fixed (max_degree, samples, seed).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -409,37 +410,77 @@ def _scan_type2_closed(limit):
 
     Shows that the associator of the shipped product ``_mul_a_mono``
     equals :func:`type2_associator_closed` on every triple of the box
-    ``a^i b^j c^k d^l`` (16.7M triples at limit 4) without computing most
-    of them.  On type-2 times type-2 the product is H + C.  H, its type-2
-    part, is the Heisenberg product of the (a,b)-parts with the c- and
-    d-exponents added on.  C, its type-1 part, is zero unless the left
-    factor has no c and the right one has at most one.  Type-1 monomials
-    form a square-zero ideal, on which a type-2 monomial without c acts by
-    concatenation and one with c by zero.  One claim per case, in two
-    pieces (L = limit):
+    ``a^i b^j c^k d^l`` (16.7M triples at limit 4), computing only the
+    associators of (a,b)-monomials.  On type-2 times type-2 the product
+    is H + C.  H, its type-2 part, is the Heisenberg product of the
+    (a,b)-parts with the c- and d-exponents added on; for a^i b^j times
+    a^p b^q its term h_mu sits on a^{i+p-mu} b^{j+q-mu} c^mu.  C, its
+    type-1 part, has a rule: for x = a^i b^j d^l and y = a^p b^q d^s it
+    is N/6 on a^{i+p-1} b^{j+q-1} d^{l+s-1} e, with N = ijs - ilq + 3jlp
+    + 2jps - 2lpq; for x = a^i b^j d^l times y with one c, it is -l on
+    a^{i+p} b^{j+q} d^{l+s-1} e; otherwise it is zero.  Type-1 monomials
+    form a square-zero ideal, on which a type-2 monomial without c acts
+    by concatenation and one with c by zero.  One claim per case, in
+    three pieces (L = limit):
 
-    1. every pair the associators reach has the product H + C, or, with a
-       type-1 factor, the concatenation rule: box x box, and box times
-       every term of a box x box product on either side (1.59M pairs at
-       L = 4);
-    2. the associator equals the closed form on every triple whose x has
-       no c and whose y and z have at most one c between them (3 L^9).
+    1. every pair the associators reach has the product H + C, H read from
+       the kernel's own product of the (a,b)-parts, with each term of at
+       most one c in its place, and C from its rule, or, with a type-1
+       factor, the concatenation rule: box x box, and box times every term
+       of a box x box product on either side (1.59M pairs at L = 4);
+    2. T, the type-1 part of (xy)z - x(yz) that 1 implies, equals the
+       closed form on every triple whose x has no c and whose y and z have
+       at most one c between them (3 L^9);
+    3. H is associative: the kernel's associator of any three
+       (a,b)-monomials is zero (L^6).
 
-    That proves the statement: given 1, the type-2 part of any associator
-    is that of the (a,b)-parts shifted, and its type-1 part is a sum of
-    C-terms and concatenations, each zero outside the triples of 2.  Every
-    triple of (a,b)-monomials has no c, so it is among the triples of 2,
-    where the closed form has no type-2 part: H is associative, and the
-    type-2 part is zero.  Outside the triples of 2 the closed form is zero
-    too, as some factor has a c.
+    T, term by term, for x = (i,j,0,l), y = (p,q,r,s) and z = (v,w,g,u).
+    h0(x,y) and h1(x,y) are h_0 and h_1 read from the kernel's product of
+    the (a,b)-parts of x and y (1 and -jp for the shipped product), x+y
+    is the exponentwise sum, and N(x,y) is N above.  Each term applies
+    one rule of 1 to one term of xy or yz, and all land on one monomial:
+
+        r = g = 0, on a^{i+p+v-1} b^{j+q+w-1} d^{l+s+u-1} e:
+          6T =   h0(x,y) N(x+y,z)   the h_0 term of xy times z: N rule
+               + N(x,y)             C(x,y), N rule, concatenated with z
+               - h0(y,z) N(x,y+z)   x times the h_0 term of yz: N rule
+               - N(y,z)             x concatenated with C(y,z), N rule
+               + 6 l h1(y,z)        x times the h_1 term of yz: -l rule
+        r = 1, on a^{i+p+v} b^{j+q+w} d^{l+s+u-1} e:
+           T = -l                   C(x,y), -l rule, concatenated with z
+               + l h0(y,z)          x times the h_0 term of yz: -l rule
+        g = 1, on the same monomial:
+           T = -(l+s) h0(x,y)       the h_0 term of xy times z: -l rule
+               + s                  x concatenated with C(y,z), -l rule
+               + l h0(y,z)          x times the h_0 term of yz: -l rule
+
+    Every other term has no type-1 part: by 1, H has no term with fewer
+    than two c's off its place; C vanishes when its left factor has a c
+    or its right factor two; and so does a type-1 factor times a factor
+    with a c.  For the shipped product T is zero when r + g = 1.
+
+    That proves the statement.  Given 1, the type-2 part of any associator
+    is that of the (a,b)-parts shifted, zero by 3, and its type-1 part is
+    T on the triples of 2 and zero outside them, where some factor has a
+    c in the way of every C and every concatenation.  Outside the triples
+    of 2 the closed form is zero too, as some factor has a c.
     """
     cells = list(product(range(limit), repeat=2))  # (a,b)- or (c,d)-exponents
     box = [(i, j, k, l, 0) for i, j in cells for k, l in cells]
 
     def heisenberg(u, v):
-        # H on the (a,b)-parts u and v: the type-2 part of their product
+        # H on the (a,b)-parts u and v: the type-2 part of their product,
+        # less any term with at most one c off its place a^{i+p-mu}
+        # b^{j+q-mu} c^mu, which T does not read; so 1 fails on such a term
         den, prod = _mul_a_mono((*u, 0, 0, 0), (*v, 0, 0, 0))
-        return den, {m: n for m, n in prod.items() if not m[4]}
+        return den, {m: n for m, n in prod.items() if not m[4] and (
+            m[2] > 1 or (m[0] + m[2], m[1] + m[2]) == (u[0] + v[0], u[1] + v[1]))}
+
+    def correction(x, y):
+        # N, the rule's C = N/6 when neither factor has a c
+        i, j, _, l, _ = x
+        p, q, _, s, _ = y
+        return i * j * s - i * l * q + 3 * j * l * p + 2 * j * p * s - 2 * l * p * q
 
     def pair(x, y, hden, h):
         den, num = _mul_a_mono(x, y)
@@ -448,14 +489,19 @@ def _scan_type2_closed(limit):
             dead = x[4] and y[4] or x[2] or y[2]  # two type-1 factors, or a c
             concat = AElement._make(1, {} if dead else {tuple(a + b for a, b in zip(x, y)): 1})
             return "type-1 concatenation", (x, y), {"product": prod, "concatenation": concat}
-        k, l = x[2] + y[2], x[3] + y[3]
-        # H + C over hden * den
-        hc = {(m[0], m[1], m[2] + k, m[3] + l, 0): n * den for m, n in h.items()}
-        if not x[2] and y[2] <= 1:
-            # the gate is open: C is the product's own type-1 part
-            hc.update((m, n * hden) for m, n in num.items() if m[4])
-        hc = AElement._make(hden * den, hc)
-        return "H + C decomposition", (x, y), {"product": prod, "H + C": hc}
+        i, j, k, l, _ = x
+        p, q, r, s, _ = y
+        # H + C over six * hden, C by its rule: six is 6 when N fires
+        n = 0 if k or r else correction(x, y)
+        six = 6 if n else 1
+        hc = {(m[0], m[1], m[2] + k + r, m[3] + l + s, 0): six * c for m, c in h.items()}
+        if n:
+            hc[(i + p - 1, j + q - 1, 0, l + s - 1, 1)] = n * hden
+        elif not k and r == 1 and l:
+            hc[(i + p, j + q, 0, l + s - 1, 1)] = -l * hden
+        return "H + C decomposition", (x, y), {
+            "product": prod, "H + C": AElement._make(six * hden, hc)
+        }
 
     # 1: every product the associators reach, grouped by the (a,b)-parts
     reached = {m for x in box for y in box for m in _mul_a_mono(x, y)[1]}
@@ -471,18 +517,53 @@ def _scan_type2_closed(limit):
             for k, l in cells:
                 yield pair((i, j, k, l, 0), y, hden, h)
 
-    # 2: (xy)z - x(yz) through the shipped product against the closed form,
-    # where a correction can fire
+    # 2: T against the closed form, where a correction can fire.  h0 and h1
+    # of every pair of (a,b)-parts, as integers over their least common
+    # denominator lcd (1 for the shipped product), so T = t / (6 lcd).
+    hs = {(u, v): heisenberg(u, v) for u in cells for v in cells}
+    lcd = math.lcm(*(den for den, _ in hs.values()))
+    h01 = {
+        (u, v): tuple(h.get((u[0] + v[0] - mu, u[1] + v[1] - mu, mu, 0, 0), 0) * (lcd // den)
+                      for mu in (0, 1))
+        for (u, v), (den, h) in hs.items()
+    }
+    zero = AElement.zero()
     free = [x for x in box if not x[2]]
     for y in (y for y in box if y[2] <= 1):
-        xys = [(x, _amono(x), AElement._make(*_mul_a_mono(x, y))) for x in free]
-        for z in (z for z in box if y[2] + z[2] <= 1):
-            ze, yz = _amono(z), AElement._make(*_mul_a_mono(y, z))
-            for x, xe, xy in xys:
+        p, q, r, s, _ = y
+        xys = [(x, tuple(a + b for a, b in zip(x, y)), correction(x, y), h01[x[:2], y[:2]][0])
+               for x in free]
+        for z in (z for z in box if r + z[2] <= 1):
+            v, w, g, u, _ = z
+            yz = tuple(a + b for a, b in zip(y, z))
+            n_yz = correction(y, z)
+            h0_yz, h1_yz = h01[y[:2], z[:2]]
+            shift = 0 if r + g else 1  # T lands on x a^A b^B d^D e
+            A, B, D = p + v - shift, q + w - shift, s + u - 1
+            for x, xy, n_xy, h0_xy in xys:
+                l = x[3]
+                if r:
+                    t = 6 * l * (h0_yz - lcd)
+                elif g:
+                    t = 6 * (lcd * s + l * h0_yz - (l + s) * h0_xy)
+                else:
+                    t = (h0_xy * correction(xy, z) + lcd * n_xy
+                         - h0_yz * correction(x, yz) - lcd * n_yz + 6 * l * h1_yz)
+                mono = (x[0] + A, x[1] + B, 0, l + D, 1)
                 yield "type-2 associator", (x, y, z), {
-                    "via mul_a": _bilinear(_mul_a_mono, (1, xy, ze), (-1, xe, yz)),
+                    "pair rule": AElement._make(6 * lcd, {mono: t}) if t else zero,
                     "closed form": type2_associator_closed(x, y, z),
                 }
+
+    # 3: H is associative, through the kernel on the (a,b)-monomials
+    ab = [(i, j, 0, 0, 0) for i, j in cells]
+    el = {x: _amono(x) for x in ab}
+    prods = {(x, y): AElement._make(*_mul_a_mono(x, y)) for x in ab for y in ab}
+    for x, y, z in product(ab, repeat=3):
+        yield "Heisenberg associativity", (x, y, z), {
+            "associator": _bilinear(_mul_a_mono, (1, prods[x, y], el[z]), (-1, el[x], prods[y, z])),
+            "zero": zero,
+        }
 
 
 def _check_alternative(max_degree, samples, seed):

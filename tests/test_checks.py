@@ -5,6 +5,7 @@ acceptance tests run them at their contractual sizes.  Here we only make
 sure every suite runs, passes, and reports deterministically at toy sizes.
 """
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -131,12 +132,13 @@ def planted(real, pair, change):
 @pytest.mark.parametrize(
     "pair, change, found",
     [
-        # bd * a = abd - cd + 1/2 e; shift its type-1 term.  6 * (1/2 + 1/7) is not
-        # an integer, and truncating it would give back the right value 3.
+        # bd * a = abd - cd + 1/2 e; shift its type-1 term off the N/6 rule.
+        # 6 * (1/2 + 1/7) is not an integer, and truncating it would give back
+        # the right value 3.
         ((_BD, _A), lambda out: {**out, _E: out[_E] + Fraction(1, 6)},
-         "type-2 associator mismatch"),
+         "H + C decomposition mismatch on (bd, a)"),
         ((_BD, _A), lambda out: {**out, _E: out[_E] + Fraction(1, 7)},
-         "type-2 associator mismatch"),
+         "H + C decomposition mismatch on (bd, a)"),
         # ac * b = abc: no correction fires when the left factor has a c
         ((_AC, _B), lambda out: {**out, _E: Fraction(1, 6)},
          "H + C decomposition mismatch on (ac, b): product = abc + 1/6 e; H + C = abc"),
@@ -167,6 +169,83 @@ def test_type2_scan_catches_faulty_closed_form(monkeypatch):
     assert found is not None and found.startswith("type-2 associator mismatch on (a, b, d)")
 
 
+def rescaled(real, scale):
+    """The kernel ``real`` with each type-2 term of a type-2 x type-2 product
+    multiplied by ``scale(mu)``, mu the c-exponents it gains."""
+
+    def faulty(x, y):
+        den, num = real(x, y)
+        if x[4] or y[4]:
+            return den, num
+        return den, {m: n if m[4] else n * scale(m[2] - x[2] - y[2]) for m, n in num.items()}
+
+    return faulty
+
+
+def reshaped(real):
+    """The kernel ``real`` with H carried over by the basis change ab -> ab + a
+    (times any c^k d^l): H is still associative, but a term without c lands
+    off its place, as in b * a = ab - a - c."""
+    a = AElement.from_letter("a")
+
+    def phi(u):
+        m = AElement.from_monomial((*u, 0, 0, 0))
+        return m + a if u == (1, 1) else m
+
+    def faulty(x, y):
+        den, num = real(x, y)
+        if x[4] or y[4]:
+            return den, num
+        out = {m: Fraction(n, den) for m, n in num.items() if m[4]}
+        for m, n in alternative.mul_a(phi(x[:2]), phi(y[:2])).terms.items():
+            back = [(m, n), ((1, 0, *m[2:]), -n)] if m[:2] == (1, 1) else [(m, n)]
+            for (i, j, k, _, _), c in back:  # the inverse basis change
+                key = (i, j, k + x[2] + y[2], x[3] + y[3], 0)
+                out[key] = out.get(key, 0) + c
+        el = UElement(out)
+        return el._den, el._num
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "fault, found",
+    [
+        (lambda real: rescaled(real, lambda mu: 2**mu),
+         "type-2 associator mismatch on (d, b, a): pair rule = -7/6 e"),
+        (lambda real: rescaled(real, lambda mu: 2),
+         "type-2 associator mismatch on (ab, d, 1): pair rule = -1/6 e"),
+        # T reads h1 from the kernel, so this flips the sign of its l h1 term
+        (lambda real: rescaled(real, lambda mu: (-1) ** mu),
+         "type-2 associator mismatch on (d, b, a): pair rule = 11/6 e"),
+        # T reads H's terms only in their places
+        (reshaped, "H + C decomposition mismatch on (b, a): product = ab - a - c; H + C = ab - c"),
+    ],
+    ids=["c rescaled", "H doubled", "c negated", "H reshaped"],
+)
+def test_type2_scan_catches_global_faults(monkeypatch, fault, found):
+    # a fault in every pair at once that keeps H associative and, but for
+    # the reshaped H, each pair's H + C split
+    monkeypatch.setattr(checks, "_mul_a_mono", fault(checks._mul_a_mono))
+    claims = checks._scan_type2_closed(limit=2)
+    heisenberg = (claim for claim in claims if claim[0] == "Heisenberg associativity")
+    assert checks._compare(heisenberg) is None
+    text = checks._compare(checks._scan_type2_closed(limit=3))
+    assert text is not None and text.startswith(found)
+
+
+def test_pair_rule_matches_the_shipped_associator():
+    # T comes from the pair rule, not from products: on every piece-2 triple
+    # at limit 3 it equals (xy)z - x(yz) through the shipped product
+    element = functools.cache(AElement.from_monomial)
+    compared = 0
+    for what, case, values in checks._scan_type2_closed(limit=3):
+        if what == "type-2 associator":
+            compared += 1
+            assert values["pair rule"] == associator_a(*map(element, case)), case
+    assert compared == 3 * 3**9
+
+
 # the pairs the scan reaches at limit 2: box x box, and box times every
 # term of a box x box product on either side
 _BOX2 = [(i, j, k, l, 0) for i, j, k, l in product(range(2), repeat=4)]
@@ -187,6 +266,7 @@ def test_type2_scan_counts_every_piece():
         "H + C decomposition": len(_PAIRS2) - type1,
         "type-1 concatenation": type1,
         "type-2 associator": 3 * 2**9,
+        "Heisenberg associativity": 2**6,
     }
 
 
@@ -245,7 +325,7 @@ N3 = monomial_count(3)  # 56, the monomials of degree <= 3
 # {suite: {label: claims}} at max-degree 3, samples 20, seed 0; each count
 # is its loop bounds where they give a one-line formula.  Suite totals:
 # oracle 8,498, operators 1,511, nucleus 2,730, malcev 435, alternative
-# 22,796, homomorphism 3,136, special 30.
+# 22,860, homomorphism 3,136, special 30.
 COVERAGE_AT_3 = {
     "oracle": {
         "product routes": N3**2,
@@ -281,6 +361,7 @@ COVERAGE_AT_3 = {
         "H + C decomposition": 2720,
         "type-1 concatenation": 576,
         "type-2 associator": 3 * 2**9,
+        "Heisenberg associativity": 2**6,
     },
     "homomorphism": {"projection": N3**2},
     "special": {"letter outside the alternator ideal": 5, "quotient commutator": 25},
