@@ -96,20 +96,22 @@ def _compare(claims):
     Returns None when every claim holds.  Otherwise no further claim is
     drawn, and the text names the inputs and every compared value
     (monomials by :func:`format_monomial`, everything else by ``str``).  A
-    stream with no claim at all fails too: a check that compared nothing
-    has shown nothing.
+    stream with no claim at all fails too, and so does a claim with fewer
+    than two values: a check that compared nothing has shown nothing.
     """
     compared = 0
     for what, case, values in claims:
         compared += 1
-        vs = tuple(values.values())  # two values: one != decides
-        if (vs[0] != vs[1]) if len(vs) == 2 else any(v != vs[0] for v in vs[1:]):
+        vs = tuple(values.values())
+        n = len(vs)
+        if n < 2 or vs.count(vs[0]) != n:
             def show(v):
                 return format_monomial(v) if isinstance(v, tuple) else str(v)
 
             inputs = ", ".join(map(show, case))
             shown = "; ".join(f"{name} = {show(v)}" for name, v in values.items())
-            return f"{what} mismatch on ({inputs}): {shown}"
+            problem = "mismatch" if n > 1 else "compares fewer than two values"
+            return f"{what} {problem} on ({inputs}): {shown or 'nothing'}"
     return None if compared else "no cases compared"
 
 

@@ -15,15 +15,24 @@ import sys
 
 from .alternative import AElement, associator_a, bracket_a, mul_a, project
 from .checks import SUITE_NAMES, run_suite
-from .core import ComputationError, UElement
+from .core import LETTERS, ComputationError, UElement
 from .diffops import lmul, rho
 from .envelope import associator_u, bracket_u, mul_u
 from .exprs import element_json, parse_element
 
-# --algebra -> (element class, element command -> product)
+# --algebra -> (element class, product command -> product)
 _COMMANDS = {
     "u": (UElement, {"mul": mul_u, "bracket": bracket_u, "assoc": associator_u}),
     "a": (AElement, {"mul": mul_a, "bracket": bracket_a, "assoc": associator_a}),
+}
+
+# element command -> (EXPR count, help); project and apply-op read the envelope only
+_ELEMENT_COMMANDS = {
+    "mul": (2, "multiply two elements"),
+    "bracket": (2, "commutator [x, y] = xy - yx"),
+    "assoc": (3, "associator (x, y, z) = (xy)z - x(yz)"),
+    "project": (1, "project an envelope element onto the quotient"),
+    "apply-op": (1, "apply a generator operator to an envelope element"),
 }
 
 
@@ -38,21 +47,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def element_command(name, nargs, help_text):
+    products = _COMMANDS["u"][1]
+    for name, (nargs, help_text) in _ELEMENT_COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument(
-            "--algebra",
-            choices=("u", "a"),
-            default="u",
-            help="which algebra to compute in: the envelope (u, default) or "
-            "its alternative quotient (a)",
-        )
-        _add_format(sp)
-        for n in range(nargs):
-            sp.add_argument(f"expr{n + 1}", metavar="EXPR", help="element expression")
-        return sp
-
-    def _add_format(sp):
+        if name in products:
+            sp.add_argument(
+                "--algebra",
+                choices=("u", "a"),
+                default="u",
+                help="which algebra to compute in: the envelope (u, default) or "
+                "its alternative quotient (a)",
+            )
         sp.add_argument(
             "--format",
             choices=("text", "json"),
@@ -60,26 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="fmt",
             help="output form: canonical text (default) or a JSON term array",
         )
-
-    element_command("mul", 2, "multiply two elements")
-    element_command("bracket", 2, "commutator [x, y] = xy - yx")
-    element_command("assoc", 3, "associator (x, y, z) = (xy)z - x(yz)")
-
-    sp = sub.add_parser("project", help="project an envelope element onto the quotient")
-    _add_format(sp)
-    sp.add_argument("expr1", metavar="EXPR", help="element of the envelope")
-
-    sp = sub.add_parser(
-        "apply-op", help="apply a generator operator to an envelope element"
-    )
-    _add_format(sp)
-    sp.add_argument(
-        "operator",
-        choices=("rho", "l"),
-        help="rho = bracket map x -> [x, LETTER], l = left multiplication by LETTER",
-    )
-    sp.add_argument("letter", choices=list("abcde"), help="generator letter")
-    sp.add_argument("expr1", metavar="EXPR", help="element of the envelope")
+        if name == "apply-op":
+            sp.add_argument(
+                "operator",
+                choices=("rho", "l"),
+                help="rho = bracket map x -> [x, LETTER], l = left multiplication by LETTER",
+            )
+            sp.add_argument("letter", choices=tuple(LETTERS), help="generator letter")
+        sp.add_argument("exprs", nargs=nargs, metavar="EXPR", help="element expression")
 
     sp = sub.add_parser("check", help="run a verification suite")
     sp.add_argument(
@@ -108,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_element(el, fmt: str) -> None:
-    print(element_json(el, with_type=isinstance(el, AElement)) if fmt == "json" else el)
-
-
 def _run_checks(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     failed = False
@@ -129,20 +118,16 @@ def _dispatch(args) -> int:
     if args.command == "check":
         return _run_checks(args)
 
-    if args.command == "project":
-        el = parse_element(args.expr1, UElement)
-        _print_element(project(el), args.fmt)
-        return 0
-
-    if args.command == "apply-op":
-        el = parse_element(args.expr1, UElement)
-        op = rho(args.letter) if args.operator == "rho" else lmul(args.letter)
-        _print_element(op.apply(el), args.fmt)
-        return 0
-
-    cls, products = _COMMANDS[args.algebra]
-    texts = [args.expr1, args.expr2] + ([args.expr3] if args.command == "assoc" else [])
-    _print_element(products[args.command](*(parse_element(t, cls) for t in texts)), args.fmt)
+    if args.command in _COMMANDS["u"][1]:
+        cls, products = _COMMANDS[args.algebra]
+        el = products[args.command](*(parse_element(t, cls) for t in args.exprs))
+    else:  # project or apply-op, on one envelope element
+        x = parse_element(args.exprs[0], UElement)
+        if args.command == "project":
+            el = project(x)
+        else:
+            el = (rho if args.operator == "rho" else lmul)(args.letter).apply(x)
+    print(element_json(el, with_type=isinstance(el, AElement)) if args.fmt == "json" else el)
     return 0
 
 

@@ -144,12 +144,17 @@ def multinomial(n: int, parts) -> int:
 # ---------------------------------------------------------------------------
 
 def format_monomial(mono: Monomial) -> str:
-    """``(1,1,0,2,0)`` -> ``abd^2``; the empty monomial prints as ``1``."""
+    """``(1,1,0,2,0)`` -> ``abd^2``; the empty monomial prints as ``1``.
+
+    Any other nonzero exponent prints as ``letter^n``, a negative one too:
+    the constructors reject it, but a key built past them (``_make``) may
+    carry one, and a counterexample must then show it.
+    """
     parts = []
     for letter, exp in zip(LETTERS, mono):
         if exp == 1:
             parts.append(letter)
-        elif exp > 1:
+        elif exp:
             parts.append(f"{letter}^{exp}")
     return "".join(parts) if parts else "1"
 

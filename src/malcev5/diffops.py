@@ -103,7 +103,7 @@ class Operator(_SparseElement):
 
     __slots__ = ()
 
-    _check_basis = _check_member = staticmethod(_check_word)  # no monomial is a word
+    _check_basis = staticmethod(_check_word)
     _term_key = staticmethod(_word_key)
     _render_key = staticmethod(format_word)
 

@@ -23,11 +23,9 @@ The recursion is the ground truth the closed form is tested against; the
 closed form is what everything else uses.  ``check oracle`` compares the
 two, together with the operator route, over a full degree range.
 
-The closed form obeys a shift law: the c- and e-exponents ``k``, ``m`` of
-the left factor and the e-exponent ``t`` of the right factor only shift
-every output monomial, by ``k`` in c and ``m+t`` in e.  So its memo is
-keyed by the seven exponents ``(i, j, l, p, q, r, s)`` the sum reads, one
-entry per shift class, and a shifted pair rebuilds its output from it.
+The closed form obeys a shift law, stated in ``_closed_terms``: its memo
+holds one sum per shift class, and a shifted pair rebuilds its output from
+it.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .core import (
     Monomial,
     UElement,
     _BRACKETS,
-    _UNIT,
     _bilinear,
     _check_monomial,
     _expect,
@@ -101,10 +98,8 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
     perm(q,n2))`` by ``rest`` and ``(rest, C(la,eta) (-3)^eta
     perm(s+eta,rem_j))`` by ``(alpha, rem_j)``.
 
-    ``k``, ``m`` and ``t`` appear only in ``C`` and the e-exponent, so
-    ``x y`` is ``(i,j,0,l,0) (p,q,r,s,0)`` with ``k`` added to every
-    c-exponent and ``m+t`` to every e-exponent; the memo holds one sum per
-    such shift class (see ``_closed_class``).
+    ``k``, ``m`` and ``t`` only shift the output; ``_closed_terms`` states
+    the shift law and memoizes one sum per shift class.
     """
     _check_monomial(x)
     _check_monomial(y)
@@ -114,8 +109,14 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
 def _closed_terms(x: Monomial, y: Monomial) -> tuple:
     """``(den, numerators)`` of :func:`mul_u_closed` on validated monomials.
 
-    The kernel every closed-form product calls, itself unmemoized: it reads
-    the sum of the shift class from ``_closed_class`` and shifts it.  When
+    The kernel every closed-form product calls, itself unmemoized.  The
+    shift law: ``K``, every weight, every bound and ``_beta_row`` read
+    ``i, j, l, p, q, r, s`` alone, ``k`` enters only the c-exponent
+    ``r+k-l+v`` and ``m+t`` only the e-exponent ``l+m+t+w0-u-v``.  So
+    ``x y`` is ``(i,j,0,l,0) (p,q,r,s,0)``, the shift class's sum from
+    ``_closed_class``, with ``k`` added to every c-exponent and ``m+t`` to
+    every e-exponent.  The shift is injective and keeps the order of the
+    terms, so the result has the unshifted sum's dict order.  When
     ``k = m = t = 0`` the caller's tuples are the key and the cached pair is
     returned itself, so no caller may mutate it; otherwise the shifted
     numerators are a new dict.
@@ -133,16 +134,11 @@ def _closed_terms(x: Monomial, y: Monomial) -> tuple:
 def _closed_class(x: Monomial, y: Monomial) -> tuple:
     """The five-index sum of :func:`mul_u_closed`, memoized by shift class.
 
-    ``k``, ``m`` and ``t`` only shift the output: ``K``, every weight, every
-    bound and ``_beta_row`` read ``i, j, l, p, q, r, s`` alone, ``k`` enters
-    only ``c0 = r+k-l`` and ``m+t`` only the e-exponent ``l+m+t+w0-u-v``.
-    So for ``x = c^k e^m`` the sum is ``{(p, q, r+k, s, m+t): 1}`` and for
-    ``y = e^t`` it is ``{(i, j, k, l, m+t): 1}``.  The shift is injective and
-    keeps the order of the terms, so :func:`_closed_terms` returns the
-    unshifted sum's dict order.
+    Takes only a class's representative: ``x = (i,j,0,l,0)`` and
+    ``y = (p,q,r,s,0)``, as :func:`_closed_terms` passes them.
     """
-    i, j, k, l, m = x
-    p, q, r, s, t = y
+    i, j, _, l, _ = x
+    p, q, r, s, _ = y
     comb, perm = math.comb, math.perm
     K = (2 ** (l + i)) * 3 ** (j + l)
     # (U, V) is the index (U+q)*width + V+l; n2+1 moves it by -step, which masks V+l
@@ -185,12 +181,12 @@ def _closed_class(x: Monomial, y: Monomial) -> tuple:
                             break
                         idx = key - n2 * step
                         acc[idx] = acc.get(idx, 0) + w_n * w_2 * row[rem_j + n2]
-    # U+q = u and V+l = v: A = p+i-j-q+u, B = u, C = r+k-l+v, W = u+v-q-j
-    a0, c0, w0 = p + i - j - q, r + k - l, q + j
+    # U+q = u and V+l = v: A = p+i-j-q+u, B = u, C = r-l+v, W = u+v-q-j
+    a0, c0, w0 = p + i - j - q, r - l, q + j
     out = {}
     for idx, w in _pruned(acc).items():
         u, v = idx >> sh, idx & step
-        out[(a0 + u, u, c0 + v, s - w0 + u + v, l + m + t + w0 - u - v)] = w
+        out[(a0 + u, u, c0 + v, s - w0 + u + v, l + w0 - u - v)] = w
     return _reduced(K, out)
 
 
@@ -257,11 +253,11 @@ def _shared(den: int, num: dict) -> tuple:
 
 
 def _leading(mono):
-    # index of the smallest letter present; monomials here are never empty
+    # index of the smallest letter present; 5, past every letter, for the unit
     for v in range(5):
         if mono[v]:
             return v
-    raise ValueError("empty monomial has no leading letter")
+    return 5
 
 
 def _strip(mono, v):
@@ -311,11 +307,10 @@ def _lmul_letter(f, x):
     """``f * x`` for a generator index ``f`` and monomial ``x``, as ``(den, numerators)``.
 
     The ordered monomial when ``f`` does not exceed the smallest letter
-    ``g`` of ``x``, else ``_LMUL_IDENTITY``, whose every sub-product either
-    shrinks the right factor or is an ordered prepend.
+    ``g`` of ``x`` (the unit has none, so ``f * 1`` is one), else
+    ``_LMUL_IDENTITY``, whose every sub-product either shrinks the right
+    factor or is an ordered prepend.
     """
-    if x == ONE:
-        return _one_term(1, _UNIT[f], 1)
     g = _leading(x)
     if f <= g:
         return _one_term(1, _prepended(f, x), 1)

@@ -438,6 +438,36 @@ def test_runner_stops_at_first_failing_claim(monkeypatch):
     assert drawn == [0, 1]
 
 
+ONE_U = UElement.one()
+
+
+@pytest.mark.parametrize(
+    "values, found",
+    [
+        ({"closed": ONE_U}, "probe compares fewer than two values on (ab, x): closed = 1"),
+        ({}, "probe compares fewer than two values on (ab, x): nothing"),
+        (
+            {"p": ONE_U, "q": UElement.one(), "r": UElement.zero()},
+            "probe mismatch on (ab, x): p = 1; q = 1; r = 0",
+        ),
+        (
+            {"p": ONE_U, "q": UElement.one(), "r": UElement.one(), "s": 2 * ONE_U},
+            "probe mismatch on (ab, x): p = 1; q = 1; r = 1; s = 2",
+        ),
+        ({"u": ONE_U, "a": AElement.one()}, "probe mismatch on (ab, x): u = 1; a = 1"),
+    ],
+    ids=["one value", "no value", "third differs", "fourth differs", "other class"],
+)
+def test_runner_fails_unless_two_or_more_values_agree(monkeypatch, values, found):
+    # one value compares nothing (a repeated name in a claim's dict literal
+    # leaves one); equal terms of another algebra are not equal
+    claim = ("probe", ((1, 1, 0, 0, 0), "x"), values)
+    monkeypatch.setitem(checks._SUITES, "special", lambda max_degree, samples, seed: iter([claim]))
+    report = run_suite("special")
+    assert not report.passed
+    assert report.counterexample == found
+
+
 def test_oracle_reports_a_planted_fault(monkeypatch):
     # b * a = ab - c; the recursive oracle now says ab - c + e
     real = checks.mul_u_oracle

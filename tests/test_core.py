@@ -116,6 +116,15 @@ def test_format_monomial():
     assert format_monomial((0, 0, 3, 0, 1)) == "c^3e"
 
 
+def test_format_monomial_shows_negative_exponents():
+    # the constructors reject a negative exponent, but a key built past them
+    # (_make) can carry one, and a counterexample must tell it from zero
+    assert format_monomial((-1, 0, 0, 0, 1)) == "a^-1e"
+    assert format_monomial((0, 2, -3, 0, 0)) == "b^2c^-3"
+    shifted = UElement._make(1, {(0, 0, 1, 1, 0): 1, (-1, 0, 0, 0, 1): -1})
+    assert str(shifted) == "cd - a^-1e"  # not "cd - e"
+
+
 def test_format_terms_golden():
     # coefficients arrive as str(Fraction) writes them
     terms = {

@@ -204,8 +204,8 @@ def test_unit_and_letter_inputs_take_the_general_path():
     ONE, UNIT, BRACKETS = core.ONE, core._UNIT, core._BRACKETS
     monos = list(monomials_up_to(5))
     for x in monos:
-        assert envelope._closed_class(ONE, x) == (1, {x: 1})
-        assert envelope._closed_class(x, ONE) == (1, {x: 1})
+        assert envelope._closed_terms(ONE, x) == (1, {x: 1})
+        assert envelope._closed_terms(x, ONE) == (1, {x: 1})
         assert envelope._mul_mono(x, ONE) is envelope._one_term(1, x, 1)
     for f, g in itertools.product(range(5), repeat=2):
         # f g is the ordered monomial, plus [f, g] when f comes after g
@@ -217,6 +217,31 @@ def test_unit_and_letter_inputs_take_the_general_path():
         # [g, f] is the defining bracket
         want = {UNIT[h]: n for h, n in BRACKETS.get((g, f), {}).items()}
         assert envelope._bracket_mono(f, UNIT[g]) == (1, want)
+    core.clear_memos()
+
+
+def test_closed_class_sees_only_class_representatives(monkeypatch):
+    # _closed_class has no shift arithmetic: _closed_terms, its one caller,
+    # passes k = m = t = 0 and shifts the result itself
+    core.clear_memos()
+    calls = []
+    real = envelope._closed_class
+
+    def spy(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(envelope, "_closed_class", spy)
+    assert checks.run_suite("oracle", 3, 0, 0).passed
+    suite_calls = len(calls)
+    x = U((1, 0, 2, 1, 1)) + U((0, 1, 1, 0, 2))
+    y = U((2, 1, 1, 0, 1)) - U((0, 0, 3, 1, 1))
+    assert mul_u(x, y) == mul_u_oracle(x, y)
+    assert suite_calls and len(calls) > suite_calls
+    assert all(x[2] == x[4] == y[4] == 0 for x, y in calls)
+    # the unit has no leading letter, so f * 1 is the ordered prepend's shared object
+    for f in range(5):
+        assert envelope._lmul_letter(f, core.ONE) is envelope._one_term(1, core._UNIT[f], 1)
     core.clear_memos()
 
 
