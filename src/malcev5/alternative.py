@@ -26,6 +26,7 @@ from .core import (
     UElement,
     _MonomialElement,
     _bilinear,
+    _check_monomial,
     _expect,
 )
 
@@ -133,8 +134,14 @@ def type2_associator_closed(x: Monomial, y: Monomial, z: Monomial) -> AElement:
     on type-2 arguments.
     """
     for mono in (x, y, z):
+        _check_monomial(mono)
         if not is_type2(mono):
             raise ValueError(f"{mono!r} is not a type-2 basis monomial")
+    return _type2_associator(x, y, z)
+
+
+def _type2_associator(x: Monomial, y: Monomial, z: Monomial) -> AElement:
+    """:func:`type2_associator_closed` on validated type-2 monomials."""
     i, j, k, l, _ = x
     p, q, r, s, _ = y
     v, w, g, u, _ = z

@@ -57,12 +57,12 @@ from .envelope import (
 from .alternative import (
     AElement,
     _mul_a_mono,
+    _type2_associator,
     associator_a,
     bracket_a,
     in_ideal_j,
     mul_a,
     project,
-    type2_associator_closed,
 )
 
 
@@ -554,7 +554,7 @@ def _scan_type2_closed(limit):
                 mono = (x[0] + A, x[1] + B, 0, l + D, 1)
                 yield "type-2 associator", (x, y, z), {
                     "pair rule": AElement._make(6 * lcd, {mono: t}) if t else zero,
-                    "closed form": type2_associator_closed(x, y, z),
+                    "closed form": _type2_associator(x, y, z),
                 }
 
     # 3: H is associative, through the kernel on the (a,b)-monomials

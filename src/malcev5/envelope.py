@@ -17,15 +17,17 @@ Two independent multiplication routes live here and must agree everywhere:
   :func:`~malcev5.core._sum_into` over memoized sub-results.  An empty or
   one-term result is one shared object, ``_EMPTY`` or an entry of
   ``_one_term``, so the three memo tables hold no copies of the many that
-  repeat.  The tests evaluate the same tables on closed products.
+  repeat.  The public products evaluate their own pairs through the
+  unmemoized bodies, so the tables keep only the sub-results the recursion
+  reads back.  The tests evaluate the same tables on closed products.
 
 The recursion is the ground truth the closed form is tested against; the
 closed form is what everything else uses.  ``check oracle`` compares the
 two, together with the operator route, over a full degree range.
 
 The closed form obeys a shift law, stated in ``_closed_terms``: its memo
-holds one sum per shift class, and a shifted pair rebuilds its output from
-it.
+holds one sum per shift class, packed as two tuples of ints, and every pair
+decodes its own output from it.
 """
 
 from __future__ import annotations
@@ -112,22 +114,30 @@ def _closed_terms(x: Monomial, y: Monomial) -> tuple:
     The kernel every closed-form product calls, itself unmemoized.  The
     shift law: ``K``, every weight, every bound and ``_beta_row`` read
     ``i, j, l, p, q, r, s`` alone, ``k`` enters only the c-exponent
-    ``r+k-l+v`` and ``m+t`` only the e-exponent ``l+m+t+w0-u-v``.  So
+    ``r+k-l+v`` and ``m+t`` only the e-exponent ``l+m+t+q+j-u-v``.  So
     ``x y`` is ``(i,j,0,l,0) (p,q,r,s,0)``, the shift class's sum from
     ``_closed_class``, with ``k`` added to every c-exponent and ``m+t`` to
-    every e-exponent.  The shift is injective and keeps the order of the
-    terms, so the result has the unshifted sum's dict order.  When
-    ``k = m = t = 0`` the caller's tuples are the key and the cached pair is
-    returned itself, so no caller may mutate it; otherwise the shifted
-    numerators are a new dict.
+    every e-exponent.  Every call decodes the class's packed entry into a
+    new dict, in the entry's order, adding the shift as it builds each
+    monomial, so no caller can reach the cached entry.  An unshifted pair
+    is its own representative, and its tuples are the memo key: the table
+    then holds no copy of them.
     """
     i, j, k, l, m = x
     p, q, r, s, t = y
     if k or m or t:
-        den, num = _closed_class((i, j, 0, l, 0), (p, q, r, s, 0))
-        m += t
-        return den, {(a, b, c + k, d, e + m): n for (a, b, c, d, e), n in num.items()}
-    return _closed_class(x, y)
+        x, y = (i, j, 0, l, 0), (p, q, r, s, 0)
+    den, sh, idxs, nums = _closed_class(x, y)
+    # index (u, v) is the monomial (a0+u, u, c0+v, d0+u+v, e0-u-v)
+    step = (1 << sh) - 1
+    a0, c0, d0, e0 = p + i - j - q, r + k - l, s - q - j, l + m + t + q + j
+    out = {}
+    for idx, n in zip(idxs, nums):
+        u = idx >> sh
+        v = idx & step
+        w = u + v
+        out[(a0 + u, u, c0 + v, d0 + w, e0 - w)] = n
+    return den, out
 
 
 @memoized
@@ -135,7 +145,11 @@ def _closed_class(x: Monomial, y: Monomial) -> tuple:
     """The five-index sum of :func:`mul_u_closed`, memoized by shift class.
 
     Takes only a class's representative: ``x = (i,j,0,l,0)`` and
-    ``y = (p,q,r,s,0)``, as :func:`_closed_terms` passes them.
+    ``y = (p,q,r,s,0)``, as :func:`_closed_terms` passes them.  Returns the
+    reduced sum packed as ``(den, sh, idxs, nums)``: the term of ``(U, V)``
+    sits at index ``(U+q) << sh | V+l`` in the tuple ``idxs``, its numerator
+    at the same place in ``nums``, in the order the sum first reached it.
+    Two tuples of ints hold no monomial, so the table keeps no 5-tuple.
     """
     i, j, _, l, _ = x
     p, q, r, s, _ = y
@@ -181,13 +195,8 @@ def _closed_class(x: Monomial, y: Monomial) -> tuple:
                             break
                         idx = key - n2 * step
                         acc[idx] = acc.get(idx, 0) + w_n * w_2 * row[rem_j + n2]
-    # U+q = u and V+l = v: A = p+i-j-q+u, B = u, C = r-l+v, W = u+v-q-j
-    a0, c0, w0 = p + i - j - q, r - l, q + j
-    out = {}
-    for idx, w in _pruned(acc).items():
-        u, v = idx >> sh, idx & step
-        out[(a0 + u, u, c0 + v, s - w0 + u + v, l + w0 - u - v)] = w
-    return _reduced(K, out)
+    den, num = _reduced(K, _pruned(acc))
+    return den, sh, tuple(num), tuple(num.values())
 
 
 def mul_u(x: UElement, y: UElement) -> UElement:
@@ -365,11 +374,13 @@ def mul_u_oracle(x: UElement, y: UElement) -> UElement:
     """Bilinear product evaluated purely by the degree-lowering recursions.
 
     Independent of the closed form and of the operator realization; this is
-    the route the others are checked against.
+    the route the others are checked against.  Each pair is evaluated by
+    the unmemoized body, so the tables keep only the sub-results the
+    recursion reads back, not one entry per top-level pair.
     """
     _expect(UElement, x, y)
     try:
-        return _bilinear(_mul_mono, (1, x, y))
+        return _bilinear(_mul_mono.__wrapped__, (1, x, y))
     except RecursionError as exc:
         raise ComputationError(
             "recursive product evaluation exhausted the recursion limit; "
@@ -378,12 +389,13 @@ def mul_u_oracle(x: UElement, y: UElement) -> UElement:
 
 
 def bracket_u_oracle(x: UElement, letter: str) -> UElement:
-    """``[x, v]`` for a generator letter ``v``, by the bracket recursion."""
+    """``[x, v]`` for a generator letter ``v``, by the bracket recursion,
+    through its unmemoized body as in :func:`mul_u_oracle`."""
     _expect(UElement, x)
     f = _letter_index(letter)
     out = {}
     try:
-        den = _sum_into(out, 1, _bracket_mono, 1, (1, {f: 1}), (x._den, x._num))
+        den = _sum_into(out, 1, _bracket_mono.__wrapped__, 1, (1, {f: 1}), (x._den, x._num))
     except RecursionError as exc:
         raise ComputationError("bracket recursion exhausted the recursion limit") from exc
     return UElement._make(*_reduced(den, _pruned(out)))

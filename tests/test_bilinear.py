@@ -5,8 +5,8 @@ Exact cancellations check the rule on every result path; a small
 property-based test compares the three product routes on random rational
 elements and checks bilinearity with a scalar that is not a unit.  The
 fused sums of products are checked against their one-pair products over
-every kernel, and a product that shares a memoized kernel dict against
-mutation.
+every kernel, and the closed kernel's memo against mutation through the
+dicts it returns.
 """
 
 import math
@@ -39,7 +39,7 @@ from malcev5 import (
 from malcev5.alternative import _mul_a_mono, in_ideal_j
 from malcev5.core import _bilinear
 from malcev5.diffops import _apply_word, _compose_words
-from malcev5.envelope import _closed_terms, bracket_u_oracle, mul_u_closed
+from malcev5.envelope import _closed_class, _closed_terms, bracket_u_oracle, mul_u_closed
 
 
 def assert_no_zero_stored(el):
@@ -205,18 +205,25 @@ def test_zero_products_have_denominator_one():
 
 
 def test_closed_kernel_product_leaves_the_memo_intact():
-    # mul_u_closed of an unshifted pair shares _closed_terms's cached dict
+    # the memo entry holds tuples only, and every _closed_terms call decodes
+    # it into a dict of its own, so no product can reach the cached sum
     x, y = (1, 1, 0, 1, 0), (0, 1, 1, 1, 0)
-    den, cached = _closed_terms(x, y)
-    before = dict(cached)
-    assert den != 1 and len(cached) > 1
+    entry = _closed_class(x, y)
+    assert all(type(part) is tuple for part in entry[2:])
+    den, first = _closed_terms(x, y)
+    before = dict(first)
+    assert den != 1 and len(first) > 1
+    second = _closed_terms(x, y)[1]
+    assert second == first and second is not first
+    first[next(iter(first))] += 1
+    first[(9, 9, 9, 9, 9)] = 1
+    assert _closed_terms(x, y) == (den, before) and _closed_class(x, y) == entry
     p = mul_u_closed(x, y)
-    assert p._num is cached
-    q = UElement({(0, 0, 0, 0, 1): Fraction(1, 5), next(iter(cached)): 7})
+    q = UElement({(0, 0, 0, 0, 1): Fraction(1, 5), next(iter(before)): 7})
     results = [
         p + p, p + q, q + p, p - p, p - q, q - p, -p, 3 * p, p * Fraction(2, 3), 0 * p,
         project(p), p == q, p == p, hash(p), str(p), repr(p), dict(p.terms),
         mul_u(2 * UElement.from_monomial(x), UElement.from_monomial(y)), mul_u(p, p.one()),
     ]
     assert _closed_terms(x, y) == (den, before)
-    assert cached == before and results[3] == UElement.zero()
+    assert p._num == before and results[3] == UElement.zero()

@@ -158,13 +158,14 @@ def test_type2_scan_catches_faulty_product(monkeypatch, pair, change, found):
 
 
 def test_type2_scan_catches_faulty_closed_form(monkeypatch):
-    real = checks.type2_associator_closed
+    # the scan calls the closed form's unvalidated body
+    real = checks._type2_associator
 
     def faulty(x, y, z):
         out = real(x, y, z)
         return 2 * out if (x, y, z) == (_A, _B, _D) else out
 
-    monkeypatch.setattr(checks, "type2_associator_closed", faulty)
+    monkeypatch.setattr(checks, "_type2_associator", faulty)
     found = checks._compare(checks._scan_type2_closed(limit=3))
     assert found is not None and found.startswith("type-2 associator mismatch on (a, b, d)")
 
@@ -487,11 +488,17 @@ def test_oracle_reports_a_planted_fault(monkeypatch):
 
 
 def test_oracle_reports_a_kernel_that_drops_the_c_shift(monkeypatch):
-    # the closed kernel forgets to add the left factor's c-exponent back
+    # the closed kernel decodes its packed entry but forgets to add the left
+    # factor's c-exponent k
     def dropped(x, y):
-        den, num = envelope._closed_class((x[0], x[1], 0, x[3], 0), y[:4] + (0,))
-        mt = x[4] + y[4]
-        return den, {(a, b, c, d, e + mt): n for (a, b, c, d, e), n in num.items()}
+        i, j, _, l, m = x
+        p, q, r, s, t = y
+        den, sh, idxs, nums = envelope._closed_class((i, j, 0, l, 0), (p, q, r, s, 0))
+        out = {}
+        for idx, n in zip(idxs, nums):
+            u, v = idx >> sh, idx % (1 << sh)
+            out[(p + i - j - q + u, u, r - l + v, s - q - j + u + v, l + m + t + q + j - u - v)] = n
+        return den, out
 
     monkeypatch.setattr(envelope, "_closed_terms", dropped)
     report = run_suite("oracle", max_degree=2)
@@ -510,15 +517,17 @@ def test_kernel_memo_holds_one_entry_per_shift_class():
 
 
 def test_oracle_stores_each_small_result_once():
-    # the three recursions keep 33,166 results; 19,675 of them are empty or
+    # the three recursions keep 24,220 results; 15,322 of them are empty or
     # one-term, in 2,296 distinct values: the empty constant and one entry
-    # of _one_term per one-term value
+    # of _one_term per one-term value.  No top-level pair is kept: with one
+    # entry per pair the suite evaluates, _mul_mono would hold 25,411
     clear_memos()
     assert run_suite("oracle", 4, 20, 0).passed
     info = core.memo_info()
     sizes = {name.rsplit(".", 1)[1]: stats.currsize for name, stats in info.items()}
     assert sizes["_one_term"] == 2295
-    assert sizes["_lmul_letter"] + sizes["_bracket_mono"] + sizes["_mul_mono"] == 33166
+    assert sizes["_mul_mono"] == 16465
+    assert sizes["_lmul_letter"] + sizes["_bracket_mono"] + sizes["_mul_mono"] == 24220
 
 
 def test_special_reports_a_planted_fault(monkeypatch):

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from malcev5 import checks, core, envelope
+from malcev5.alternative import type2_associator_closed
 from malcev5.core import ComputationError, MalcevVector, UElement, bracket_m
 from malcev5.diffops import l_of_monomial, l_of_monomial_via_factors
 from malcev5.envelope import (
@@ -170,7 +171,7 @@ def test_oracle_recursion_overflow_reports():
 
 
 def test_oracle_depth_at_degree_thirty():
-    # d^30 c^30 needs 130 frames beyond its caller on 3.11; the margin is
+    # d^30 c^30 needs 129 frames beyond its caller on 3.11; the margin is
     # for other versions, and a recursion that grew per level would pass it
     core.clear_memos()
     limit = sys.getrecursionlimit()
@@ -255,6 +256,23 @@ def test_closed_route_reads_no_oracle_memo():
     assert info["malcev5.envelope._closed_class"].currsize
     oracle = ("_one_term", "_lmul_letter", "_bracket_mono", "_mul_mono")
     assert all(info[f"malcev5.envelope.{name}"].currsize == 0 for name in oracle)
+    core.clear_memos()
+
+
+def test_oracle_keeps_no_top_level_entry():
+    # the public oracle products evaluate their pair through the unmemoized
+    # body, so the tables keep only what the recursion reads back
+    x, y = (1, 2, 0, 1, 1), (2, 0, 1, 1, 0)
+    core.clear_memos()
+    mul_u_oracle(U(x), U(y))
+    misses = envelope._mul_mono.cache_info().misses
+    envelope._mul_mono(x, y)
+    assert envelope._mul_mono.cache_info().misses == misses + 1
+    core.clear_memos()
+    bracket_u_oracle(U(x), "a")
+    misses = envelope._bracket_mono.cache_info().misses
+    envelope._bracket_mono(0, x)
+    assert envelope._bracket_mono.cache_info().misses == misses + 1
     core.clear_memos()
 
 
@@ -516,6 +534,10 @@ MONOMIAL_ENTRY_POINTS = {
     "mul_cde_closed(c, bad)": lambda bad: mul_cde_closed((0, 0, 1, 0, 0), bad),
     "l_of_monomial": l_of_monomial,
     "l_of_monomial_via_factors": l_of_monomial_via_factors,
+    "type2_associator_closed(bad, b, d)":
+        lambda bad: type2_associator_closed(bad, (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)),
+    "type2_associator_closed(a, b, bad)":
+        lambda bad: type2_associator_closed((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), bad),
 }
 
 
