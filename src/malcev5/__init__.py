@@ -23,7 +23,6 @@ from .diffops import (
     Operator,
     compose,
     l_of_monomial,
-    l_of_monomial_via_factors,
     lb_power_closed,
     ld_power_closed,
     lmul,

@@ -35,7 +35,6 @@ from .diffops import (
     _compose_words,
     compose,
     l_of_monomial,
-    l_of_monomial_via_factors,
     lb_power_closed,
     ld_power_closed,
     lmul,
@@ -278,12 +277,6 @@ def _check_operators(max_degree, samples, seed):
             yield "power expansion", (f"L({ch})", n), {
                 "composed": acc, "closed": power_closed(n)
             }
-
-    # closed form vs composed standard words
-    for x in _monomials(max_degree):
-        yield "left multiplication", (x,), {
-            "closed form": l_of_monomial(x), "composed words": l_of_monomial_via_factors(x)
-        }
 
     # straightening identity on 100 seeded standard-order words
     rng = random.Random(seed)

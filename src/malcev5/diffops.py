@@ -18,10 +18,9 @@ products of words.
 The generator tables :func:`rho` (right multiplication) and :func:`lmul`
 (left multiplication) are the bridge between the recursive product oracle
 and the closed structure-constant formula: left multiplication by a whole
-monomial is assembled either from a seven-index closed expansion
-(:func:`l_of_monomial`, two more index sums of the words done in closed
-form) or by composing standard words (:func:`l_of_monomial_via_factors`),
-and the two must agree.
+monomial (:func:`l_of_monomial`) composes the paper's standard words from
+the generator operators alone, so it closes no sum that the closed kernel
+closes.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .core import (
     UElement,
     _SparseElement,
     _UNIT,
+    _accumulate,
     _are_exponents,
     _bilinear,
     _check_monomial,
@@ -291,67 +291,23 @@ def ld_power_closed(y: int) -> Operator:
 
 
 def l_of_monomial(mono) -> Operator:
-    """Left multiplication by the basis monomial ``mono``, in closed form.
+    """Left multiplication by the basis monomial ``mono``.
 
-    The combination of standard words that :func:`l_of_monomial_via_factors`
-    composes, expanded: the operator kernel behind the closed structure
-    constants.  For ``mono = (i,j,k,l,m)``, ``rem_j = j-alpha-eps-zeta`` and
-    ``n2 = l-alpha-eta-theta``, the term of ``(alpha, beta, eps, zeta, eta,
-    theta, lam)`` lands on ``((i-beta, eps, zeta+k, eta-lam, rem_j+l-eta+m),
-    (j-beta-eps+n2, n2, theta, rem_j-lam))``, over ``2^(l+i) 3^(j+l)``.  The
-    expansion's two other indices, gamma and delta, miss the word.  Its
-    multinomials regroup to ``C(j,alpha) C(j-alpha,eps) C(j-alpha-eps,zeta)
-    C(rem_j,delta)`` and ``C(l,alpha) C(l-alpha,eta) C(l-alpha-eta,theta)
-    C(n2,gamma-delta)``.  Over delta the last factors sum to
-    ``C(rem_j+n2,gamma)`` (Chu-Vandermonde); with the other gamma-dependent
-    factors ``(-1)^gamma 2^(beta-gamma) C(alpha,beta-gamma)`` they sum over
-    ``max(0, beta-alpha) <= gamma <= beta`` to ``g``.
-    """
-    _check_monomial(mono)
-    i, j, k, l, m = mono
-    comb, perm = math.comb, math.perm
-    acc: dict = {}
-    for alpha in range(min(j, l) + 1):
-        la = l - alpha
-        w_a = math.factorial(alpha) * comb(j, alpha) * comb(l, alpha) * (-2) ** la * 3 ** alpha
-        for beta in range(i + 1):
-            w_b = w_a * (-1) ** beta * perm(i, beta) * 2 ** (i - beta)
-            for eps in range(j - alpha + 1):
-                w_e = w_b * comb(j - alpha, eps) * 3 ** eps
-                for zeta in range(j - alpha - eps + 1):
-                    rem_j = j - alpha - eps - zeta
-                    w_z = w_e * comb(j - alpha - eps, zeta) * (-3) ** zeta
-                    for eta in range(la + 1):
-                        w_h = w_z * comb(la, eta) * (-3) ** eta
-                        for theta in range(la - eta + 1):
-                            n2 = la - eta - theta
-                            g = sum((-1) ** gamma * 2 ** (beta - gamma) * comb(alpha, beta - gamma)
-                                    * comb(rem_j + n2, gamma)
-                                    for gamma in range(max(0, beta - alpha), beta + 1))
-                            if not g:
-                                continue
-                            w = w_h * comb(la - eta, theta) * 3 ** theta * g
-                            for lam in range(min(eta, rem_j) + 1):
-                                word = ((i - beta, eps, zeta + k, eta - lam, rem_j + l - eta + m),
-                                        (j - beta - eps + n2, n2, theta, rem_j - lam))
-                                acc[word] = acc.get(word, 0) + w * perm(eta, lam) * comb(rem_j, lam)
-    return Operator._make(*_reduced(2 ** (l + i) * 3 ** (j + l), _pruned(acc)))
-
-
-def l_of_monomial_via_factors(mono) -> Operator:
-    """Left multiplication by ``mono`` built the slow way.
-
-    Expands the monomial into a four-index combination of standard words and
-    composes each word from the primitive generator operators.  Summation
-    limits are written plainly; the vanishing conventions of
+    The representation of the enveloping algebra by operators: ``mono =
+    (i,j,k,l,m)`` expands into a four-index combination of standard words,
+    and each word is composed from the generator operators, so this route
+    reads nothing but the generator tables.  The term of ``(alpha, beta,
+    gamma, delta)`` is ``(-1)^(beta+delta) alpha! beta! C(alpha,beta-gamma)
+    C(i,beta)`` times the multinomials ``(j; alpha, delta)`` and ``(l;
+    alpha, gamma-delta)``, over ``6^(alpha+gamma)``; summation limits are
+    written plainly, and the vanishing conventions of
     :func:`~malcev5.core.multinomial` and :func:`~malcev5.core.binomial`
-    silently kill the out-of-range terms.  Serves as an independent oracle
-    for :func:`l_of_monomial`.
+    kill the out-of-range terms.
     """
     _check_monomial(mono)
     i, j, k, l, m = mono
     fact = math.factorial
-    acc = Operator.zero()
+    acc, den = {}, 1
     for alpha in range(l + 1):
         for beta in range(i + 1):
             for gamma in range(beta + 1):
@@ -364,10 +320,6 @@ def l_of_monomial_via_factors(mono) -> Operator:
                     )
                     if not weight:
                         continue
-                    coeff = Fraction(
-                        (-1) ** (beta + delta) * fact(alpha) * fact(beta) * weight,
-                        6 ** (alpha + gamma),
-                    )
                     word = standard_word(
                         i - beta,
                         alpha - beta + gamma,
@@ -378,5 +330,8 @@ def l_of_monomial_via_factors(mono) -> Operator:
                         l - alpha - gamma + delta,
                         m + alpha + gamma,
                     )
-                    acc = acc + coeff * word
-    return acc
+                    den = _accumulate(
+                        acc, den, (-1) ** (beta + delta) * fact(alpha) * fact(beta) * weight,
+                        6 ** (alpha + gamma) * word._den, word._num,
+                    )
+    return Operator._make(*_reduced(den, _pruned(acc)))

@@ -84,9 +84,12 @@ def mul_u_closed(x: Monomial, y: Monomial) -> UElement:
         C(j-alpha-eps,zeta) (-3)^zeta C(la,eta) (-3)^eta perm(s+eta,rem_j)
         C(la-eta,theta) perm(r,theta) 3^theta perm(q,n2) B(rem_j+n2, j-eps+n2)
 
-    and ``B`` the beta and gamma sum of ``_beta_row``.  This is the
-    nine-index sum (alpha..theta, lam) of the closed left-multiplication
-    operator on ``y`` with the four sums the monomial does not see closed.
+    and ``B`` the beta and gamma sum of ``_beta_row``.  This is
+    :func:`~malcev5.diffops.l_of_monomial` applied to ``y``, a nine-index
+    sum: its four-index expansion (alpha..delta) into standard words, the
+    trinomial expansions of the powers of ``L(b)`` (eps, zeta) and ``L(d)``
+    (eta, theta), and lam, the contraction of ``D_d`` past ``M_d`` when a
+    word is composed.  The four sums the monomial does not see are closed.
     Over lam, ``sum lam! C(rem_j,lam) C(eta,lam) perm(s,rem_j-lam) =
     perm(s+eta,rem_j)`` (Vandermonde for falling factorials).  Regrouped
     multinomials leave ``C(rem_j,delta) C(n2,gamma-delta)``, whose sum over
@@ -427,4 +430,5 @@ def jacobian_u(x: UElement, y: UElement, z: UElement) -> UElement:
 
 def embed(v: MalcevVector) -> UElement:
     """The canonical embedding of the base algebra (degree-1 elements)."""
+    _expect(MalcevVector, v)
     return v.u_element()

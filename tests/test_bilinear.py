@@ -27,6 +27,7 @@ from malcev5 import (
     bracket_m,
     bracket_u,
     compose,
+    embed,
     jacobian_u,
     l_of_monomial,
     mul_a,
@@ -109,6 +110,7 @@ WRONG_OPERANDS = {
     "compose": (lambda: compose(rho("d"), UA), "Operator"),
     "project": (lambda: project(AC), "UElement"),
     "bracket_m": (lambda: bracket_m(MalcevVector.basis("a"), AA), "MalcevVector"),
+    "embed": (lambda: embed(UA), "MalcevVector"),
 }
 
 

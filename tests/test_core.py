@@ -487,6 +487,5 @@ def test_operator_route_reads_no_memo():
     clear_memos()
     for mono in ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (1, 1, 0, 1, 0)):
         diffops.l_of_monomial(mono).apply(UElement.from_monomial(mono))
-    diffops.l_of_monomial_via_factors((1, 1, 0, 1, 0))
     diffops.standard_word(1, 1, 1, 1, 1, 1, 1, 1)
     assert all(cached.cache_info().currsize == 0 for cached in core._MEMOIZED)

@@ -16,7 +16,6 @@ from malcev5.diffops import (
     Operator,
     compose,
     l_of_monomial,
-    l_of_monomial_via_factors,
     lb_power_closed,
     ld_power_closed,
     lmul,
@@ -316,17 +315,22 @@ def test_l_of_monomial_central_powers():
     assert l_of_monomial((0, 0, 0, 0, 3)) == compose(me, compose(me, me))
 
 
-def test_l_of_monomial_matches_factored_form():
-    # the closed form against the composed standard words
-    monos = [
-        (2, 0, 0, 0, 0),
-        (0, 2, 0, 1, 0),
-        (1, 1, 1, 1, 1),
-        (0, 3, 0, 2, 0),
-        (2, 1, 0, 2, 1),
-    ]
-    for mono in monos:
-        assert l_of_monomial(mono) == l_of_monomial_via_factors(mono)
+def test_l_of_monomial_builds_no_fraction(monkeypatch):
+    # the words' coefficients are summed as integer numerators
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for mono in ((2, 1, 0, 2, 1), (1, 2, 1, 1, 0), (0, 3, 0, 2, 0)):
+        l_of_monomial(mono)
+    found = len(built)
+    Fraction(1, 2)  # the wrapper sees what is built
+    monkeypatch.undo()
+    assert found == 0 and len(built) == 1
 
 
 def test_l_of_monomial_multiplies():

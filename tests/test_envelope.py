@@ -20,7 +20,7 @@ import pytest
 from malcev5 import checks, core, envelope
 from malcev5.alternative import type2_associator_closed
 from malcev5.core import ComputationError, MalcevVector, UElement, bracket_m
-from malcev5.diffops import l_of_monomial, l_of_monomial_via_factors
+from malcev5.diffops import l_of_monomial
 from malcev5.envelope import (
     associator_u,
     bracket_u,
@@ -533,7 +533,6 @@ MONOMIAL_ENTRY_POINTS = {
     "mul_cde_closed(bad, c)": lambda bad: mul_cde_closed(bad, (0, 0, 1, 0, 0)),
     "mul_cde_closed(c, bad)": lambda bad: mul_cde_closed((0, 0, 1, 0, 0), bad),
     "l_of_monomial": l_of_monomial,
-    "l_of_monomial_via_factors": l_of_monomial_via_factors,
     "type2_associator_closed(bad, b, d)":
         lambda bad: type2_associator_closed(bad, (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)),
     "type2_associator_closed(a, b, bad)":
