@@ -141,10 +141,11 @@ def _rand_vector(rng) -> MalcevVector:
     return MalcevVector(tuple(_rand_rational(rng) for _ in range(5)))
 
 
-def _rand_a_monomial(rng):
+def _rand_a_monomial(rng, top=4):
+    """A quotient basis monomial of either type, exponents <= ``top``."""
     if rng.randrange(2):
-        return (rng.randint(0, 4), rng.randint(0, 4), 0, rng.randint(0, 4), 1)
-    return (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4), 0)
+        return (rng.randint(0, top), rng.randint(0, top), 0, rng.randint(0, top), 1)
+    return (rng.randint(0, top), rng.randint(0, top), rng.randint(0, top), rng.randint(0, top), 0)
 
 
 def _rand_a_element(rng) -> AElement:
@@ -386,14 +387,27 @@ def _check_malcev(max_degree, samples, seed):
 # ---------------------------------------------------------------------------
 
 def _check_homomorphism(max_degree, samples, seed):
+    def claim(x, px, y, py):
+        return "projection", (x, y), {
+            "project(mul_u)": project(mul_u_closed(x, y)),
+            "mul_a(project, project)": mul_a(px, py),
+        }
+
+    # every pair of the degree box
     monos = _monomials(max_degree)
     for x in monos:
         px = project(_umono(x))
         for y in monos:
-            yield "projection", (x, y), {
-                "project(mul_u)": project(mul_u_closed(x, y)),
-                "mul_a(project, project)": mul_a(px, project(_umono(y))),
-            }
+            yield claim(x, px, y, project(_umono(y)))
+
+    # past the box, quotient basis pairs (which project to themselves):
+    # seeded pairs of both types with exponents <= 9, then b^n a^n, whose
+    # Heisenberg terms reach every c-shift mu <= n
+    rng = random.Random(seed)
+    pairs = [(_rand_a_monomial(rng, 9), _rand_a_monomial(rng, 9)) for _ in range(samples)]
+    pairs += [((0, n, 0, 0, 0), (n, 0, 0, 0, 0)) for n in range(1, 10)]
+    for x, y in pairs:
+        yield claim(x, _amono(x), y, _amono(y))
 
 
 # ---------------------------------------------------------------------------

@@ -247,25 +247,38 @@ def standard_word(s, t, u, v, w, x, y, z) -> Operator:
     """The composed word ``L(a)^s D_a^t L(b)^u D_b^v L(c)^w D_d^x L(d)^y L(e)^z``.
 
     Rightmost factor acts first, as usual for operator products.
+
+    Each nonzero power, such as ``L(a)^s``, is composed from its generator,
+    and the powers are then multiplied pairwise, neighbour with neighbour,
+    in a balanced tree that keeps their left-to-right order.  Since
+    :func:`compose` is associative, any grouping of the same factors in the
+    same order gives the same operator as composing them one at a time.
+    This grouping is the cheaper one because most of its products pair two
+    operators of similar size, not a long operator with a generator of one
+    to three words.
     """
     counts = (s, t, u, v, w, x, y, z)
     if not _are_exponents(counts):
         raise ValueError(f"standard word counts must be nonnegative integers, got {counts!r}")
-    factors = (
-        (_LMUL["a"], s),
-        (Operator.deriv("a"), t),
-        (_LMUL["b"], u),
-        (Operator.deriv("b"), v),
-        (_LMUL["c"], w),
-        (Operator.deriv("d"), x),
-        (_LMUL["d"], y),
-        (_LMUL["e"], z),
+    generators = (
+        _LMUL["a"], Operator.deriv("a"), _LMUL["b"], Operator.deriv("b"),
+        _LMUL["c"], Operator.deriv("d"), _LMUL["d"], _LMUL["e"],
     )
-    acc = Operator.identity()
-    for op, count in factors:
-        for _ in range(count):
-            acc = compose(acc, op)
-    return acc
+    powers = []
+    for op, count in zip(generators, counts):
+        if count:
+            power = op
+            for _ in range(count - 1):
+                power = compose(power, op)
+            powers.append(power)
+    if not powers:
+        return Operator.identity()
+    while len(powers) > 1:
+        powers = [
+            compose(*powers[i:i + 2]) if i + 1 < len(powers) else powers[i]
+            for i in range(0, len(powers), 2)
+        ]
+    return powers[0]
 
 
 def lb_power_closed(u: int) -> Operator:

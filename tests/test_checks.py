@@ -326,7 +326,7 @@ N3 = monomial_count(3)  # 56, the monomials of degree <= 3
 # {suite: {label: claims}} at max-degree 3, samples 20, seed 0; each count
 # is its loop bounds where they give a one-line formula.  Suite totals:
 # oracle 8,498, operators 1,455, nucleus 2,730, malcev 435, alternative
-# 22,860, homomorphism 3,136, special 30.
+# 22,860, homomorphism 3,165, special 30.
 COVERAGE_AT_3 = {
     "oracle": {
         "product routes": N3**2,
@@ -363,7 +363,8 @@ COVERAGE_AT_3 = {
         "type-2 associator": 3 * 2**9,
         "Heisenberg associativity": 2**6,
     },
-    "homomorphism": {"projection": N3**2},
+    # the degree box, the seeded pairs past it and b^n a^n for n = 1..9
+    "homomorphism": {"projection": N3**2 + SAMPLES + 9},
     "special": {"letter outside the alternator ideal": 5, "quotient commutator": 25},
 }
 
@@ -372,6 +373,40 @@ def test_coverage_manifest():
     counts = {name: dict(Counter(what for what, _, _ in suite(3, SAMPLES, 0)))
               for name, suite in checks._SUITES.items()}
     assert counts == COVERAGE_AT_3
+
+
+def doubled_past_mu_5(real):
+    """The quotient product ``real`` with every Heisenberg term of c-shift
+    mu >= 6 doubled: a fault that only exponents past 5 reach."""
+
+    def faulty(x, y):
+        den, num = real(x, y)
+        if x[4] or y[4]:
+            return den, num
+        c = x[2] + y[2]
+        return den, {m: 2 * n if not m[4] and m[2] - c >= 6 else n for m, n in num.items()}
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "max_degree, samples, found",
+    [
+        # the seeded pairs past the box find it first ...
+        (5, 1000, "projection mismatch on (a^4b^8c^5d^5, a^9b^7c^7d^6)"),
+        (3, 1000, "projection mismatch on (a^4b^8c^5d^5, a^9b^7c^7d^6)"),
+        # ... and without them b^6 a^6 does
+        (3, 0, "projection mismatch on (b^6, a^6): project(mul_u) = a^6b^6 - 36 a^5b^5c"),
+    ],
+    ids=["defaults", "degree-3", "fixed-pairs"],
+)
+def test_homomorphism_reports_a_fault_past_the_box(monkeypatch, max_degree, samples, found):
+    fault = doubled_past_mu_5(alternative._mul_a_mono)
+    monkeypatch.setattr(alternative, "_mul_a_mono", fault)
+    monkeypatch.setattr(checks, "_mul_a_mono", fault)
+    report = run_suite("homomorphism", max_degree, samples, 0)
+    assert not report.passed
+    assert report.counterexample.startswith(found)
 
 
 def faulty_product(real, pair):

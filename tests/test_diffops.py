@@ -6,11 +6,13 @@ operators and normal-ordering them is what everything else leans on,
 so the canonical commutation relations get checked from several angles.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from malcev5 import diffops
 from malcev5.core import UElement, bracket_m, MalcevVector
 from malcev5.diffops import (
     Operator,
@@ -269,6 +271,41 @@ def test_standard_word_degenerate():
     assert standard_word(0, 0, 0, 0, 2, 0, 0, 0) == compose(
         Operator.mul_by("c"), Operator.mul_by("c")
     )
+
+
+def reference_standard_word(*counts):
+    """The standard word as a left fold of single-generator compositions,
+    the reference for the balanced product of powers that is shipped."""
+    generators = (
+        lmul("a"), Operator.deriv("a"), lmul("b"), Operator.deriv("b"),
+        lmul("c"), Operator.deriv("d"), lmul("d"), lmul("e"),
+    )
+    acc = Operator.identity()
+    for op, count in zip(generators, counts):
+        for _ in range(count):
+            acc = compose(acc, op)
+    return acc
+
+
+_WORD_RNG = random.Random(26)
+REFERENCE_WORD_COUNTS = list(itertools.product((0, 1), repeat=8)) + [
+    tuple(_WORD_RNG.randint(0, 3) for _ in range(8)) for _ in range(50)
+]
+
+
+def test_standard_word_matches_the_left_fold():
+    for counts in REFERENCE_WORD_COUNTS:
+        word, want = standard_word(*counts), reference_standard_word(*counts)
+        assert word == want, counts
+        assert str(word) == str(want), counts
+
+
+def test_l_of_monomial_from_reference_words(monkeypatch):
+    monos = [m for m in itertools.product(range(5), repeat=5) if sum(m) <= 4]
+    shipped = [l_of_monomial(m) for m in monos]
+    monkeypatch.setattr(diffops, "standard_word", reference_standard_word)
+    for mono, op in zip(monos, shipped):
+        assert l_of_monomial(mono) == op, mono
 
 
 def test_standard_word_rejects_negative_count():
