@@ -28,6 +28,7 @@ from .core import (
     _bilinear,
     _check_monomial,
     _expect,
+    format_monomial,
 )
 
 
@@ -60,7 +61,7 @@ class AElement(_MonomialElement):
     def _check_member(mono) -> None:
         if in_ideal_j(mono):
             raise ValueError(
-                f"{mono!r} lies in the alternator ideal and is not a basis "
+                f"{format_monomial(mono)} lies in the alternator ideal and is not a basis "
                 "monomial of the quotient"
             )
 

@@ -24,6 +24,7 @@ from .core import (
     UElement,
     _are_exponents,
     _bilinear,
+    _reduced,
     bracket_m,
     format_monomial,
     jacobian_m,
@@ -97,6 +98,10 @@ def _compare(claims):
     (monomials by :func:`format_monomial`, everything else by ``str``).  A
     stream with no claim at all fails too, and so does a claim with fewer
     than two values: a check that compared nothing has shown nothing.
+
+    A row claim is one claim per entry k: one input is a list, read at k,
+    and each value a list of reduced ``(den, numerators)`` pairs of quotient
+    elements, equal exactly when the elements are.
     """
     compared = 0
     for what, case, values in claims:
@@ -104,6 +109,11 @@ def _compare(claims):
         vs = tuple(values.values())
         n = len(vs)
         if n < 2 or vs.count(vs[0]) != n:
+            if n > 1 and type(vs[0]) is list:
+                k = next(k for k, entries in enumerate(zip(*vs)) if entries.count(entries[0]) != n)
+                case = tuple(c[k] if type(c) is list else c for c in case)
+                values = {name: AElement._make(*v[k]) for name, v in values.items()}
+
             def show(v):
                 return format_monomial(v) if isinstance(v, tuple) else str(v)
 
@@ -160,17 +170,14 @@ def _rand_a_element(rng) -> AElement:
 # ---------------------------------------------------------------------------
 
 def _check_oracle(max_degree, samples, seed):
-    monos = _monomials(max_degree)
-    for x in monos:
+    monos = [(m, _umono(m)) for m in _monomials(max_degree)]
+    for x, xe in monos:
         op = l_of_monomial(x)
-        xe = _umono(x)
         dx = sum(x)
-        for y in monos:
+        for y, ye in monos:
             closed = mul_u_closed(x, y)
             yield "product routes", (x, y), {
-                "closed": closed,
-                "oracle": mul_u_oracle(xe, _umono(y)),
-                "operator": op.apply(_umono(y)),
+                "closed": closed, "oracle": mul_u_oracle(xe, ye), "operator": op.apply(ye)
             }
             top = sum(y) + dx
             yield "degree filtration", (x, y), {
@@ -187,15 +194,14 @@ def _check_oracle(max_degree, samples, seed):
             yield "cde product", (x, y), {
                 "closed": mul_u_closed(x, y), "alpha-sum": mul_cde_closed(x, y)
             }
-    cde_small = _monomials(max(max_degree - 1, 0), letters=(2, 3, 4))
-    for x in cde_small:
-        xe = _umono(x)
-        for y in cde_small:
-            xy = mul_u(xe, _umono(y))
-            for z in cde_small:
-                ze = _umono(z)
+    cde_small = [(m, _umono(m)) for m in _monomials(max(max_degree - 1, 0), letters=(2, 3, 4))]
+    yzs = {(y, z): mul_u(ye, ze) for y, ye in cde_small for z, ze in cde_small}
+    for x, xe in cde_small:
+        for y, ye in cde_small:
+            xy = mul_u(xe, ye)
+            for z, ze in cde_small:
                 yield "cde associativity", (x, y, z), {
-                    "(xy)z": mul_u(xy, ze), "x(yz)": mul_u(xe, mul_u(_umono(y), ze))
+                    "(xy)z": mul_u(xy, ze), "x(yz)": mul_u(xe, yzs[y, z])
                 }
 
     # the non-power-associativity witness, frozen exactly
@@ -429,14 +435,15 @@ def _scan_type2_closed(limit):
     + 2jps - 2lpq; for x = a^i b^j d^l times y with one c, it is -l on
     a^{i+p} b^{j+q} d^{l+s-1} e; otherwise it is zero.  Type-1 monomials
     form a square-zero ideal, on which a type-2 monomial without c acts
-    by concatenation and one with c by zero.  One claim per case, in
-    three pieces (L = limit):
+    by concatenation and one with c by zero.  Three pieces (L = limit),
+    the last two with one claim per triple:
 
     1. every pair the associators reach has the product H + C, H read from
        the kernel's own product of the (a,b)-parts, with each term of at
        most one c in its place, and C from its rule, or, with a type-1
        factor, the concatenation rule: box x box, and box times every term
-       of a box x box product on either side (1.59M pairs at L = 4);
+       of a box x box product on either side (1.59M pairs at L = 4, in
+       one row claim per factor and (a,b)-part of the box factor, 99,392);
     2. T, the type-1 part of (xy)z - x(yz) that 1 implies, equals the
        closed form on every triple whose x has no c and whose y and z have
        at most one c between them (3 L^9);
@@ -491,16 +498,10 @@ def _scan_type2_closed(limit):
         p, q, _, s, _ = y
         return i * j * s - i * l * q + 3 * j * l * p + 2 * j * p * s - 2 * l * p * q
 
-    def pair(x, y, hden, h):
-        den, num = _mul_a_mono(x, y)
-        prod = AElement._make(den, num)
-        if x[4] or y[4]:
-            dead = x[4] and y[4] or x[2] or y[2]  # two type-1 factors, or a c
-            concat = AElement._make(1, {} if dead else {tuple(a + b for a, b in zip(x, y)): 1})
-            return "type-1 concatenation", (x, y), {"product": prod, "concatenation": concat}
+    def h_plus_c(x, y, hden, h):
+        # H + C over six * hden, C by its rule: six is 6 when N fires
         i, j, k, l, _ = x
         p, q, r, s, _ = y
-        # H + C over six * hden, C by its rule: six is 6 when N fires
         n = 0 if k or r else correction(x, y)
         six = 6 if n else 1
         hc = {(m[0], m[1], m[2] + k + r, m[3] + l + s, 0): six * c for m, c in h.items()}
@@ -508,23 +509,37 @@ def _scan_type2_closed(limit):
             hc[(i + p - 1, j + q - 1, 0, l + s - 1, 1)] = n * hden
         elif not k and r == 1 and l:
             hc[(i + p, j + q, 0, l + s - 1, 1)] = -l * hden
-        return "H + C decomposition", (x, y), {
-            "product": prod, "H + C": AElement._make(six * hden, hc)
-        }
+        return _reduced(six * hden, hc)
 
-    # 1: every product the associators reach, grouped by the (a,b)-parts
+    def concatenation(x, y):
+        dead = x[4] and y[4] or x[2] or y[2]  # two type-1 factors, or a c
+        return 1, {} if dead else {tuple(a + b for a, b in zip(x, y)): 1}
+
+    def row(case):
+        # one claim for a row of pairs: x against a list of box monomials
+        # with one (a,b)-part, or such a list against y
+        left, right = case
+        pairs = [(left, m) for m in right] if type(right) is list else [(m, right) for m in left]
+        u, v = pairs[0]
+        prods = [_reduced(*_mul_a_mono(x, y)) for x, y in pairs]
+        if u[4] or v[4]:  # a row holds one type only
+            return "type-1 concatenation", case, {
+                "product": prods, "concatenation": [concatenation(x, y) for x, y in pairs]}
+        hden, h = heisenberg(u[:2], v[:2])
+        return "H + C decomposition", case, {
+            "product": prods, "H + C": [h_plus_c(x, y, hden, h) for x, y in pairs]}
+
+    # 1: every product the associators reach, one row per (a,b)-part of the
+    # box factor
     reached = {m for x in box for y in box for m in _mul_a_mono(x, y)[1]}
     reached = sorted(reached.difference(box), key=term_key)
+    rows = [box[n:n + len(cells)] for n in range(0, len(box), len(cells))]
     for x in box + reached:
-        for p, q in cells:
-            hden, h = heisenberg(x[:2], (p, q))
-            for r, s in cells:
-                yield pair(x, (p, q, r, s, 0), hden, h)
+        for ys in rows:
+            yield row((x, ys))
     for y in reached:
-        for i, j in cells:
-            hden, h = heisenberg((i, j), y[:2])
-            for k, l in cells:
-                yield pair((i, j, k, l, 0), y, hden, h)
+        for xs in rows:
+            yield row((xs, y))
 
     # 2: T against the closed form, where a correction can fire.  h0 and h1
     # of every pair of (a,b)-parts, as integers over their least common
@@ -585,7 +600,12 @@ def _check_alternative(max_degree, samples, seed):
     ):
         alternator = associator_u(*map(_umono, triple))
         yield "alternator", triple, {"associator": alternator, "frozen": frozen}
-        yield "alternator projection", triple, {"projection": project(alternator), "zero": zero}
+        # the public associator_a: the claims below read products from tables
+        yield "alternator projection", triple, {
+            "projection": project(alternator),
+            "quotient associator": associator_a(*(project(_umono(m)) for m in triple)),
+            "zero": zero,
+        }
 
     # alternativity on seeded random elements
     rng = random.Random(seed)
@@ -596,6 +616,16 @@ def _check_alternative(max_degree, samples, seed):
             "(x,x,y)": associator_a(x, x, y), "(y,x,x)": associator_a(y, x, x), "zero": zero
         }
 
+    # the associators of monomials below read each inner product from one
+    # table, filled on first use: one _bilinear per associator
+    prods = {}
+
+    def associator(sign, x, y, z):
+        for pair in (x, y), (y, z):
+            if pair not in prods:
+                prods[pair] = AElement._make(*_mul_a_mono(*pair))
+        return _bilinear(_mul_a_mono, (sign, prods[x, y], _amono(z)), (-sign, _amono(x), prods[y, z]))
+
     # any type-1 slot kills the associator (small exhaustive scan)
     t1 = [(i, j, 0, l, 1) for i, j, l in product((0, 1), repeat=3)]
     t2 = [(i, j, k, l, 0) for i, j, k, l in product((0, 1), repeat=4)]
@@ -604,29 +634,26 @@ def _check_alternative(max_degree, samples, seed):
         for m2 in quotient:
             for m3 in quotient:
                 for triple in ((m1, m2, m3), (m2, m1, m3), (m2, m3, m1)):
-                    yield "type-1 slot", triple, {
-                        "associator": associator_a(*map(_amono, triple)), "zero": zero
-                    }
+                    yield "type-1 slot", triple, {"associator": associator(1, *triple), "zero": zero}
 
     # alternation: sign flips under each transposition
-    rng = random.Random(seed + 1)
-    tri = [(m1, m2, m3) for m1 in t2 for m2 in t2 for m3 in t2]
-    for _ in range(samples):
-        tri.append(
-            tuple(
-                (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3),
-                 rng.randint(0, 3), 0)
-                for _ in range(3)
-            )
-        )
-    for m1, m2, m3 in tri:
-        a1, a2_, a3 = _amono(m1), _amono(m2), _amono(m3)
-        yield "alternation", (m1, m2, m3), {
-            "(x,y,z)": associator_a(a1, a2_, a3),
-            "-(y,x,z)": -associator_a(a2_, a1, a3),
-            "-(x,z,y)": -associator_a(a1, a3, a2_),
-            "-(z,y,x)": -associator_a(a3, a2_, a1),
+    def alternation(m1, m2, m3):
+        return "alternation", (m1, m2, m3), {
+            "(x,y,z)": associator(1, m1, m2, m3),
+            "-(y,x,z)": associator(-1, m2, m1, m3),
+            "-(x,z,y)": associator(-1, m1, m3, m2),
+            "-(z,y,x)": associator(-1, m3, m2, m1),
         }
+
+    for triple in product(t2, repeat=3):
+        yield alternation(*triple)
+    rng = random.Random(seed + 1)
+    for _ in range(samples):
+        prods.clear()  # a seeded triple's products serve its own claim only
+        yield alternation(*(
+            (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3), 0)
+            for _ in range(3)))
+    prods.clear()
 
     # the closed form, exhaustively (exponents <= 3 at the default degree)
     yield from _scan_type2_closed(limit=max(2, min(max_degree - 1, 4)))

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from malcev5 import alternative, checks, core, diffops, envelope
 from malcev5.checks import SUITE_NAMES, CheckReport, run_all, run_suite
 from malcev5.alternative import AElement, associator_a, type2_associator_closed
-from malcev5.core import UElement, clear_memos
+from malcev5.core import UElement, _reduced, clear_memos
 
 
 def test_suite_names_stable():
@@ -261,14 +261,26 @@ _PAIRS2 = (
 
 
 def test_type2_scan_counts_every_piece():
-    counts = Counter(what for what, _, _ in checks._scan_type2_closed(limit=2))
+    # piece 1 makes one row claim per 2**2 pairs: a factor against the box
+    # monomials of one (a,b)-part, on either side; its rows cover every
+    # reached pair once, each with its own entry in every value
+    claims = list(checks._scan_type2_closed(limit=2))
+    counts = Counter(what for what, _, _ in claims)
     type1 = sum(1 for x, y in _PAIRS2 if x[4] or y[4])
     assert counts == {
-        "H + C decomposition": len(_PAIRS2) - type1,
-        "type-1 concatenation": type1,
+        "H + C decomposition": (len(_PAIRS2) - type1) // 2**2,
+        "type-1 concatenation": type1 // 2**2,
         "type-2 associator": 3 * 2**9,
         "Heisenberg associativity": 2**6,
     }
+    pairs = []
+    for what, case, values in claims:
+        if what in ("H + C decomposition", "type-1 concatenation"):
+            x, y = case
+            row = [(x, m) for m in y] if type(y) is list else [(m, y) for m in x]
+            assert all(len(value) == len(row) == 2**2 for value in values.values())
+            pairs += row
+    assert Counter(pairs) == Counter(_PAIRS2)
 
 
 _QUOTIENT2 = [m for m in product(range(3), repeat=5) if m[4] < 2 and not (m[4] and m[2])]
@@ -326,7 +338,7 @@ N3 = monomial_count(3)  # 56, the monomials of degree <= 3
 # {suite: {label: claims}} at max-degree 3, samples 20, seed 0; each count
 # is its loop bounds where they give a one-line formula.  Suite totals:
 # oracle 8,498, operators 1,455, nucleus 2,730, malcev 435, alternative
-# 22,860, homomorphism 3,165, special 30.
+# 20,388, homomorphism 3,165, special 30.
 COVERAGE_AT_3 = {
     "oracle": {
         "product routes": N3**2,
@@ -358,8 +370,9 @@ COVERAGE_AT_3 = {
         "alternativity": SAMPLES,
         "type-1 slot": 8 * 24**2 * 3,
         "alternation": 16**3 + SAMPLES,
-        "H + C decomposition": 2720,
-        "type-1 concatenation": 576,
+        # one row claim per 2**2 pairs: 2,720 and 576 pairs
+        "H + C decomposition": 680,
+        "type-1 concatenation": 144,
         "type-2 associator": 3 * 2**9,
         "Heisenberg associativity": 2**6,
     },
@@ -501,6 +514,65 @@ def test_runner_fails_unless_two_or_more_values_agree(monkeypatch, values, found
     report = run_suite("special")
     assert not report.passed
     assert report.counterexample == found
+
+
+def row_claim(left, right, change=None):
+    """A row claim of ``_mul_a_mono`` against ``mul_a`` over the pairs of
+    ``left`` and ``right`` (one of them a list), with ``change`` applied to
+    the list of ``mul_a`` values."""
+    pairs = [(left, m) for m in right] if type(right) is list else [(m, right) for m in left]
+    els = [alternative.mul_a(*map(AElement.from_monomial, pair)) for pair in pairs]
+    again = [(el._den, el._num) for el in (change(els) if change else els)]
+    kernel = [_reduced(*alternative._mul_a_mono(x, y)) for x, y in pairs]
+    return "probe", (left, right), {"kernel": kernel, "mul_a": again}
+
+
+def second_and_third_changed(els):
+    # e added to the second entry, the third dropped
+    return [els[0], els[1] + AElement.from_letter("e"), AElement.zero()]
+
+
+@pytest.mark.parametrize(
+    "left, right, found",
+    [
+        # bd * a = abd - cd + 1/2 e
+        ([_A, _BD, _B], _A, "probe mismatch on (bd, a): kernel = abd - cd + 1/2 e; "
+                            "mul_a = abd - cd + 3/2 e"),
+        (_A, [_A, _BD, _B], "probe mismatch on (a, bd): kernel = abd; mul_a = abd + e"),
+    ],
+    ids=["list on the left", "list on the right"],
+)
+def test_runner_reads_a_row_claim_entry_by_entry(left, right, found):
+    # a row claim is one claim per entry of its list input: it passes when
+    # every entry agrees and fails as its first failing entry would alone
+    assert checks._compare(iter([row_claim(left, right)])) is None
+    text = checks._compare(iter([row_claim(left, right, second_and_third_changed)]))
+    assert text == found
+    x, y = (left[1], right) if type(left) is list else (left, right[1])
+    product = alternative.mul_a(AElement.from_monomial(x), AElement.from_monomial(y))
+    e = AElement.from_letter("e")
+    alone = ("probe", (x, y), {"kernel": product, "mul_a": product + e})
+    assert checks._compare(iter([alone])) == found
+
+
+def flipped_associator(x, y, z):
+    """``associator_a`` with the sign of its second pair flipped: (xy)z + x(yz)."""
+    mul_a = alternative.mul_a
+    return core._bilinear(alternative._mul_a_mono, (1, mul_a(x, y), z), (1, x, mul_a(y, z)))
+
+
+@pytest.mark.parametrize("max_degree, samples", [(3, 0), (5, 1000)], ids=["degree-3", "defaults"])
+def test_alternative_reports_a_planted_associator_fault(monkeypatch, max_degree, samples):
+    # the scans read products from tables; the alternator projection claims
+    # still call the public associator_a, also at samples 0
+    monkeypatch.setattr(alternative, "associator_a", flipped_associator)
+    monkeypatch.setattr(checks, "associator_a", flipped_associator)
+    report = run_suite("alternative", max_degree, samples, 0)
+    assert not report.passed
+    assert report.counterexample == (
+        "alternator projection mismatch on (ab, ab, d): projection = 0; "
+        "quotient associator = 2 a^2b^2d - 2 abcd + 4/3 abe; zero = 0"
+    )
 
 
 def test_oracle_reports_a_planted_fault(monkeypatch):

@@ -183,6 +183,15 @@ def test_quotient_rejects_ideal_input(capsys):
     assert err.startswith("error: ")
 
 
+def test_quotient_names_the_ideal_monomial_as_typed(capsys):
+    # the monomial by its text, not by its exponent tuple (0, 0, 1, 0, 1)
+    code, out, err = run_cli(capsys, "mul", "--algebra", "a", "ce", "a")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ce lies in the alternator ideal and is not a basis monomial of the quotient\n"
+    )
+
+
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", "a", "b"])
