@@ -4,7 +4,9 @@ Usage: python3 .github/readme_examples.py
 
 Each example in a ``sh`` block of the README's "Command line" section is a
 ``$ malcev5 ...`` line followed by its expected stdout, one example per
-paragraph.  Fails when no example is found or when any stdout differs.
+paragraph.  Fails when no example is found or when any stdout differs; a
+failing example is printed with its return code and stderr, and exit code
+127 is named as the shell's "command not found".
 """
 
 import re
@@ -19,9 +21,11 @@ failed = not examples
 for command, *expected in examples:
     assert command.startswith("$ malcev5 "), command
     # through the shell, so a trailing "# ..." is a comment
-    got = subprocess.run(command[2:], shell=True, capture_output=True, text=True).stdout
-    if got.splitlines() != expected:
+    run = subprocess.run(command[2:], shell=True, capture_output=True, text=True)
+    if run.stdout.splitlines() != expected:
         failed = True
-        print(f"{command}\n  README: {expected}\n  stdout: {got.splitlines()}")
+        code = f"{run.returncode} (command not found)" if run.returncode == 127 else run.returncode
+        print(f"{command}\n  README: {expected}\n  stdout: {run.stdout.splitlines()}"
+              f"\n  exit code: {code}\n  stderr: {run.stderr.splitlines()}")
 print(f"{len(examples)} examples")
 sys.exit(1 if failed else 0)

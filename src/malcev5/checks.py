@@ -42,6 +42,7 @@ from .diffops import (
     rho,
     standard_word,
 )
+from . import envelope
 from .envelope import (
     _closed_terms,
     associator_u,
@@ -100,8 +101,9 @@ def _compare(claims):
     than two values: a check that compared nothing has shown nothing.
 
     A row claim is one claim per entry k: one input is a list, read at k,
-    and each value a list of reduced ``(den, numerators)`` pairs of quotient
-    elements, equal exactly when the elements are.
+    and each value a list of reduced ``(den, numerators)`` pairs, equal
+    exactly when the elements are.  An entry of either algebra is shown as
+    a ``UElement``, whose basis holds every monomial: both print alike.
     """
     compared = 0
     for what, case, values in claims:
@@ -112,7 +114,7 @@ def _compare(claims):
             if n > 1 and type(vs[0]) is list:
                 k = next(k for k, entries in enumerate(zip(*vs)) if entries.count(entries[0]) != n)
                 case = tuple(c[k] if type(c) is list else c for c in case)
-                values = {name: AElement._make(*v[k]) for name, v in values.items()}
+                values = {name: UElement._make(*v[k]) for name, v in values.items()}
 
             def show(v):
                 return format_monomial(v) if isinstance(v, tuple) else str(v)
@@ -137,6 +139,10 @@ def _umono(mono) -> UElement:
 
 def _amono(mono) -> AElement:
     return AElement._make(1, {mono: 1})
+
+
+def _entry(el) -> tuple:  # an element as a row claim's entry
+    return _reduced(el._den, el._num)
 
 
 def _rand_rational(rng) -> Fraction:
@@ -170,53 +176,50 @@ def _rand_a_element(rng) -> AElement:
 # ---------------------------------------------------------------------------
 
 def _check_oracle(max_degree, samples, seed):
-    monos = [(m, _umono(m)) for m in _monomials(max_degree)]
-    for x, xe in monos:
+    # one row claim per left factor x (per x and y for cde associativity)
+    monos = _monomials(max_degree)
+    els = [_umono(m) for m in monos]
+    for x, xe in zip(monos, els):
         op = l_of_monomial(x)
-        dx = sum(x)
-        for y, ye in monos:
-            closed = mul_u_closed(x, y)
-            yield "product routes", (x, y), {
-                "closed": closed, "oracle": mul_u_oracle(xe, ye), "operator": op.apply(ye)
-            }
-            top = sum(y) + dx
-            yield "degree filtration", (x, y), {
-                "top-degree part": UElement._make(
-                    closed._den, {m: n for m, n in closed._num.items() if sum(m) >= top}
-                ),
-                "concatenation": _umono(tuple(a + b for a, b in zip(x, y))),
-            }
+        # mul_u_closed's kernel, already reduced, looked up in envelope as it does
+        closed = [envelope._closed_terms(x, y) for y in monos]
+        yield "product routes", (x, monos), {
+            "closed": closed,
+            "oracle": [_entry(mul_u_oracle(xe, ye)) for ye in els],
+            "operator": [_entry(op.apply(ye)) for ye in els],
+        }
+        top = [sum(x) + sum(y) for y in monos]
+        yield "degree filtration", (x, monos), {
+            "top-degree part": [_reduced(den, {m: n for m, n in num.items() if sum(m) >= t})
+                                for (den, num), t in zip(closed, top)],
+            "concatenation": [(1, {tuple(a + b for a, b in zip(x, y)): 1}) for y in monos],
+        }
 
     # the nilpotent corner: one contraction index, and genuinely associative
     cde = _monomials(max_degree + 1, letters=(2, 3, 4))
     for x in cde:
-        for y in cde:
-            yield "cde product", (x, y), {
-                "closed": mul_u_closed(x, y), "alpha-sum": mul_cde_closed(x, y)
-            }
-    cde_small = [(m, _umono(m)) for m in _monomials(max(max_degree - 1, 0), letters=(2, 3, 4))]
-    yzs = {(y, z): mul_u(ye, ze) for y, ye in cde_small for z, ze in cde_small}
+        yield "cde product", (x, cde), {
+            "closed": [envelope._closed_terms(x, y) for y in cde],
+            "alpha-sum": [_entry(mul_cde_closed(x, y)) for y in cde],
+        }
+    small = _monomials(max(max_degree - 1, 0), letters=(2, 3, 4))
+    cde_small = [(m, _umono(m)) for m in small]
+    yzs = {y: [mul_u(ye, ze) for _, ze in cde_small] for y, ye in cde_small}
     for x, xe in cde_small:
         for y, ye in cde_small:
             xy = mul_u(xe, ye)
-            for z, ze in cde_small:
-                yield "cde associativity", (x, y, z), {
-                    "(xy)z": mul_u(xy, ze), "x(yz)": mul_u(xe, yzs[y, z])
-                }
+            yield "cde associativity", (x, y, small), {
+                "(xy)z": [_entry(mul_u(xy, ze)) for _, ze in cde_small],
+                "x(yz)": [_entry(mul_u(xe, yz)) for yz in yzs[y]],
+            }
 
     # the non-power-associativity witness, frozen exactly
     abd = (1, 1, 0, 1, 0)
     yield "witness", (abd, abd, abd), {
         "associator": associator_u(_umono(abd), _umono(abd), _umono(abd)),
-        "frozen": UElement(
-            {
-                (1, 1, 1, 2, 1): Fraction(1, 6),
-                (1, 1, 0, 1, 2): Fraction(-1, 6),
-                (0, 0, 2, 2, 1): Fraction(-1, 6),
-                (0, 0, 1, 1, 2): Fraction(11, 36),
-                (0, 0, 0, 0, 3): Fraction(-1, 12),
-            }
-        ),
+        "frozen": UElement({(1, 1, 1, 2, 1): Fraction(1, 6), (1, 1, 0, 1, 2): Fraction(-1, 6),
+                            (0, 0, 2, 2, 1): Fraction(-1, 6), (0, 0, 1, 1, 2): Fraction(11, 36),
+                            (0, 0, 0, 0, 3): Fraction(-1, 12)}),
     }
 
 
@@ -393,18 +396,14 @@ def _check_malcev(max_degree, samples, seed):
 # ---------------------------------------------------------------------------
 
 def _check_homomorphism(max_degree, samples, seed):
-    def claim(x, px, y, py):
-        return "projection", (x, y), {
-            "project(mul_u)": project(mul_u_closed(x, y)),
-            "mul_a(project, project)": mul_a(px, py),
-        }
-
-    # every pair of the degree box
+    # every pair of the degree box, one row claim per left factor
     monos = _monomials(max_degree)
-    for x in monos:
-        px = project(_umono(x))
-        for y in monos:
-            yield claim(x, px, y, project(_umono(y)))
+    projected = [project(_umono(m)) for m in monos]
+    for x, px in zip(monos, projected):
+        yield "projection", (x, monos), {
+            "project(mul_u)": [_entry(project(mul_u_closed(x, y))) for y in monos],
+            "mul_a(project, project)": [_entry(mul_a(px, py)) for py in projected],
+        }
 
     # past the box, quotient basis pairs (which project to themselves):
     # seeded pairs of both types with exponents <= 9, then b^n a^n, whose
@@ -413,7 +412,10 @@ def _check_homomorphism(max_degree, samples, seed):
     pairs = [(_rand_a_monomial(rng, 9), _rand_a_monomial(rng, 9)) for _ in range(samples)]
     pairs += [((0, n, 0, 0, 0), (n, 0, 0, 0, 0)) for n in range(1, 10)]
     for x, y in pairs:
-        yield claim(x, _amono(x), y, _amono(y))
+        yield "projection", (x, y), {
+            "project(mul_u)": project(mul_u_closed(x, y)),
+            "mul_a(project, project)": mul_a(_amono(x), _amono(y)),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +450,12 @@ def _scan_type2_closed(limit):
        closed form on every triple whose x has no c and whose y and z have
        at most one c between them (3 L^9);
     3. H is associative: the kernel's associator of any three
-       (a,b)-monomials is zero (L^6).
+       (a,b)-monomials is zero (L^6).  It is for every exponent: H's
+       coefficients (-1)^mu mu! C(j,mu) C(p,mu) are the PBW structure
+       constants of U(h), h = <a, b, c> the Heisenberg algebra with [a,b]
+       = c, where b^j a^p = sum_mu h_mu a^{p-mu} b^{j-mu} c^mu and c is
+       central.  U(h) is associative, so 3 checks the code that implements
+       these constants, not the fact itself.
 
     T, term by term, for x = (i,j,0,l), y = (p,q,r,s) and z = (v,w,g,u).
     h0(x,y) and h1(x,y) are h_0 and h_1 read from the kernel's product of
@@ -711,15 +718,8 @@ def run_suite(name, max_degree=5, samples=1000, seed=0) -> CheckReport:
     start = time.perf_counter()
     counterexample = _compare(fn(max_degree, samples, seed))
     duration = time.perf_counter() - start
-    return CheckReport(
-        suite=name,
-        max_degree=max_degree,
-        samples=samples,
-        seed=seed,
-        passed=counterexample is None,
-        counterexample=counterexample,
-        duration=duration,
-    )
+    return CheckReport(name, max_degree, samples, seed, passed=counterexample is None,
+                       counterexample=counterexample, duration=duration)
 
 
 def run_all(max_degree=5, samples=1000, seed=0):

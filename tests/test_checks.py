@@ -336,15 +336,16 @@ SAMPLES = 20
 N3 = monomial_count(3)  # 56, the monomials of degree <= 3
 
 # {suite: {label: claims}} at max-degree 3, samples 20, seed 0; each count
-# is its loop bounds where they give a one-line formula.  Suite totals:
-# oracle 8,498, operators 1,455, nucleus 2,730, malcev 435, alternative
-# 20,388, homomorphism 3,165, special 30.
+# is its loop bounds where they give a one-line formula.  A row claim counts
+# once: one per left factor (per x and y for cde associativity).  Suite
+# totals: oracle 248, operators 1,455, nucleus 2,730, malcev 435,
+# alternative 20,388, homomorphism 85, special 30.
 COVERAGE_AT_3 = {
     "oracle": {
-        "product routes": N3**2,
-        "degree filtration": N3**2,
-        "cde product": monomial_count(4, 3) ** 2,
-        "cde associativity": monomial_count(2, 3) ** 3,
+        "product routes": N3,
+        "degree filtration": N3,
+        "cde product": monomial_count(4, 3),
+        "cde associativity": monomial_count(2, 3) ** 2,
         "witness": 1,
     },
     "operators": {
@@ -370,15 +371,27 @@ COVERAGE_AT_3 = {
         "alternativity": SAMPLES,
         "type-1 slot": 8 * 24**2 * 3,
         "alternation": 16**3 + SAMPLES,
-        # one row claim per 2**2 pairs: 2,720 and 576 pairs
+        # one row claim per 2**2 pairs
         "H + C decomposition": 680,
         "type-1 concatenation": 144,
         "type-2 associator": 3 * 2**9,
         "Heisenberg associativity": 2**6,
     },
-    # the degree box, the seeded pairs past it and b^n a^n for n = 1..9
-    "homomorphism": {"projection": N3**2 + SAMPLES + 9},
+    # the degree box by rows, the seeded pairs past it and b^n a^n for n = 1..9
+    "homomorphism": {"projection": N3 + SAMPLES + 9},
     "special": {"letter outside the alternator ideal": 5, "quotient commutator": 25},
+}
+
+# the pairs behind each label with row claims, one claim each before rows
+PAIRS_AT_3 = {
+    "oracle": {
+        "product routes": N3**2,
+        "degree filtration": N3**2,
+        "cde product": monomial_count(4, 3) ** 2,
+        "cde associativity": monomial_count(2, 3) ** 3,
+    },
+    "alternative": {"H + C decomposition": 2720, "type-1 concatenation": 576},
+    "homomorphism": {"projection": N3**2 + SAMPLES + 9},
 }
 
 
@@ -386,6 +399,19 @@ def test_coverage_manifest():
     counts = {name: dict(Counter(what for what, _, _ in suite(3, SAMPLES, 0)))
               for name, suite in checks._SUITES.items()}
     assert counts == COVERAGE_AT_3
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_rows_hold_every_pair(name):
+    # a row's list input and every list value have one entry per pair, and
+    # the rows of a label hold as many pairs as its pair claims did
+    pairs = Counter()
+    for what, case, values in checks._SUITES[name](3, SAMPLES, 0):
+        lists = [v for v in (*case, *values.values()) if type(v) is list]
+        assert len(lists) in (0, len(values) + 1)
+        assert len(set(map(len, lists))) <= 1
+        pairs[what] += len(lists[0]) if lists else 1
+    assert pairs == {**COVERAGE_AT_3[name], **PAIRS_AT_3.get(name, {})}
 
 
 def doubled_past_mu_5(real):
@@ -516,43 +542,75 @@ def test_runner_fails_unless_two_or_more_values_agree(monkeypatch, values, found
     assert report.counterexample == found
 
 
-def row_claim(left, right, change=None):
-    """A row claim of ``_mul_a_mono`` against ``mul_a`` over the pairs of
-    ``left`` and ``right`` (one of them a list), with ``change`` applied to
-    the list of ``mul_a`` values."""
+# the element class, product and kernel of each algebra's row claims
+ALGEBRAS = {
+    "A": (AElement, alternative.mul_a, alternative._mul_a_mono),
+    "U": (UElement, envelope.mul_u, envelope._closed_terms),
+}
+
+
+def row_claim(algebra, left, right, change=None):
+    """A row claim of the kernel against the element product over the pairs
+    of ``left`` and ``right`` (one of them a list), with ``change`` applied
+    to the list of products."""
+    cls, mul, kernel = ALGEBRAS[algebra]
     pairs = [(left, m) for m in right] if type(right) is list else [(m, right) for m in left]
-    els = [alternative.mul_a(*map(AElement.from_monomial, pair)) for pair in pairs]
+    els = [mul(*map(cls.from_monomial, pair)) for pair in pairs]
     again = [(el._den, el._num) for el in (change(els) if change else els)]
-    kernel = [_reduced(*alternative._mul_a_mono(x, y)) for x, y in pairs]
-    return "probe", (left, right), {"kernel": kernel, "mul_a": again}
+    return "probe", (left, right), {
+        "kernel": [_reduced(*kernel(x, y)) for x, y in pairs], mul.__name__: again}
 
 
 def second_and_third_changed(els):
     # e added to the second entry, the third dropped
-    return [els[0], els[1] + AElement.from_letter("e"), AElement.zero()]
+    cls = type(els[0])
+    return [els[0], els[1] + cls.from_letter("e"), cls.zero()]
 
 
 @pytest.mark.parametrize(
-    "left, right, found",
+    "algebra, left, right, found",
     [
         # bd * a = abd - cd + 1/2 e
-        ([_A, _BD, _B], _A, "probe mismatch on (bd, a): kernel = abd - cd + 1/2 e; "
-                            "mul_a = abd - cd + 3/2 e"),
-        (_A, [_A, _BD, _B], "probe mismatch on (a, bd): kernel = abd; mul_a = abd + e"),
+        ("A", [_A, _BD, _B], _A, "probe mismatch on (bd, a): kernel = abd - cd + 1/2 e; "
+                                 "mul_a = abd - cd + 3/2 e"),
+        ("A", _A, [_A, _BD, _B], "probe mismatch on (a, bd): kernel = abd; mul_a = abd + e"),
+        # e * e = e^2, which only the envelope holds
+        ("U", [_A, _E, _B], _E, "probe mismatch on (e, e): kernel = e^2; mul_u = e^2 + e"),
     ],
-    ids=["list on the left", "list on the right"],
+    ids=["list on the left", "list on the right", "envelope row"],
 )
-def test_runner_reads_a_row_claim_entry_by_entry(left, right, found):
+def test_runner_reads_a_row_claim_entry_by_entry(algebra, left, right, found):
     # a row claim is one claim per entry of its list input: it passes when
     # every entry agrees and fails as its first failing entry would alone
-    assert checks._compare(iter([row_claim(left, right)])) is None
-    text = checks._compare(iter([row_claim(left, right, second_and_third_changed)]))
+    assert checks._compare(iter([row_claim(algebra, left, right)])) is None
+    text = checks._compare(iter([row_claim(algebra, left, right, second_and_third_changed)]))
     assert text == found
+    cls, mul, _ = ALGEBRAS[algebra]
     x, y = (left[1], right) if type(left) is list else (left, right[1])
-    product = alternative.mul_a(AElement.from_monomial(x), AElement.from_monomial(y))
-    e = AElement.from_letter("e")
-    alone = ("probe", (x, y), {"kernel": product, "mul_a": product + e})
+    product = mul(cls.from_monomial(x), cls.from_monomial(y))
+    alone = ("probe", (x, y), {"kernel": product, mul.__name__: product + cls.from_letter("e")})
     assert checks._compare(iter([alone])) == found
+
+
+def unreduced(real):
+    """The element product ``real`` with den and numerators doubled: an
+    equal element, not reduced."""
+
+    def doubled(x, y):
+        out = real(x, y)
+        return type(out)._make(2 * out._den, {m: 2 * n for m, n in out._num.items()})
+
+    return doubled
+
+
+@pytest.mark.parametrize("name", ["oracle", "homomorphism"])
+def test_rows_compare_reduced_values(monkeypatch, name):
+    # a row entry is equal to another only when both are reduced, and a
+    # route may return an element that is not
+    monkeypatch.setattr(checks, "mul_a", unreduced(checks.mul_a))
+    monkeypatch.setattr(checks, "mul_u_oracle", unreduced(checks.mul_u_oracle))
+    assert checks.mul_a(AElement.one(), AElement.one())._den == 2
+    assert run_suite(name, 3, SAMPLES, 0).passed
 
 
 def flipped_associator(x, y, z):
