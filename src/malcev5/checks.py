@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 from .core import (
     LETTERS,
@@ -104,6 +104,8 @@ def _compare(claims):
     and each value a list of reduced ``(den, numerators)`` pairs, equal
     exactly when the elements are.  An entry of either algebra is shown as
     a ``UElement``, whose basis holds every monomial: both print alike.
+    Lists that agree until one of them ends fail at the first entry it
+    lacks, shown as ``no entry``.
     """
     compared = 0
     for what, case, values in claims:
@@ -112,9 +114,12 @@ def _compare(claims):
         n = len(vs)
         if n < 2 or vs.count(vs[0]) != n:
             if n > 1 and type(vs[0]) is list:
-                k = next(k for k, entries in enumerate(zip(*vs)) if entries.count(entries[0]) != n)
-                case = tuple(c[k] if type(c) is list else c for c in case)
-                values = {name: UElement._make(*v[k]) for name, v in values.items()}
+                rows = zip_longest(*vs, fillvalue=None)
+                k = next(k for k, entries in enumerate(rows) if entries.count(entries[0]) != n)
+                case = tuple((c[k] if k < len(c) else "no entry") if type(c) is list else c
+                             for c in case)
+                values = {name: UElement._make(*v[k]) if k < len(v) else "no entry"
+                          for name, v in values.items()}
 
             def show(v):
                 return format_monomial(v) if isinstance(v, tuple) else str(v)
@@ -347,12 +352,14 @@ def _check_nucleus(max_degree, samples, seed):
                     "(x,y,g)": _bilinear(_closed_terms, (1, xy, ge), (-1, xe, yg)),
                 }
 
-    # associator of two generators against anything, via commutators
-    for f_ch, fe in letters:
-        for g_ch, ge in letters:
+    # associator of two generators against anything, via commutators;
+    # [y, f] for every generator f, once per monomial y
+    brackets = {y: [bracket_u(ye, fe) for _, fe in letters] for y, ye in monos}
+    for f, (f_ch, fe) in enumerate(letters):
+        for g, (g_ch, ge) in enumerate(letters):
             fg = bracket_u(fe, ge)
             for y, ye in monos:
-                yf, yg = bracket_u(ye, fe), bracket_u(ye, ge)
+                yf, yg = brackets[y][f], brackets[y][g]
                 yield "associator-commutator formula", (f_ch, g_ch, y), {
                     "associator": associator_u(fe, ge, ye),
                     # [[y,f],g] - [[y,g],f] - [y,[f,g]]
@@ -401,7 +408,9 @@ def _check_homomorphism(max_degree, samples, seed):
     projected = [project(_umono(m)) for m in monos]
     for x, px in zip(monos, projected):
         yield "projection", (x, monos), {
-            "project(mul_u)": [_entry(project(mul_u_closed(x, y))) for y in monos],
+            # mul_u_closed's kernel, looked up in envelope as it does
+            "project(mul_u)": [_entry(project(UElement._make(*envelope._closed_terms(x, y))))
+                               for y in monos],
             "mul_a(project, project)": [_entry(mul_a(px, py)) for py in projected],
         }
 
@@ -437,8 +446,7 @@ def _scan_type2_closed(limit):
     + 2jps - 2lpq; for x = a^i b^j d^l times y with one c, it is -l on
     a^{i+p} b^{j+q} d^{l+s-1} e; otherwise it is zero.  Type-1 monomials
     form a square-zero ideal, on which a type-2 monomial without c acts
-    by concatenation and one with c by zero.  Three pieces (L = limit),
-    the last two with one claim per triple:
+    by concatenation and one with c by zero.  Three pieces (L = limit):
 
     1. every pair the associators reach has the product H + C, H read from
        the kernel's own product of the (a,b)-parts, with each term of at
@@ -448,14 +456,15 @@ def _scan_type2_closed(limit):
        one row claim per factor and (a,b)-part of the box factor, 99,392);
     2. T, the type-1 part of (xy)z - x(yz) that 1 implies, equals the
        closed form on every triple whose x has no c and whose y and z have
-       at most one c between them (3 L^9);
+       at most one c between them (3 L^9 triples, in one row claim per
+       (y, z) over every such x, 3 L^6);
     3. H is associative: the kernel's associator of any three
-       (a,b)-monomials is zero (L^6).  It is for every exponent: H's
-       coefficients (-1)^mu mu! C(j,mu) C(p,mu) are the PBW structure
-       constants of U(h), h = <a, b, c> the Heisenberg algebra with [a,b]
-       = c, where b^j a^p = sum_mu h_mu a^{p-mu} b^{j-mu} c^mu and c is
-       central.  U(h) is associative, so 3 checks the code that implements
-       these constants, not the fact itself.
+       (a,b)-monomials is zero (L^6, one claim per triple).  It is for
+       every exponent: H's coefficients (-1)^mu mu! C(j,mu) C(p,mu) are
+       the PBW structure constants of U(h), h = <a, b, c> the Heisenberg
+       algebra with [a,b] = c, where b^j a^p = sum_mu h_mu a^{p-mu}
+       b^{j-mu} c^mu and c is central.  U(h) is associative, so 3 checks
+       the code that implements these constants, not the fact itself.
 
     T, term by term, for x = (i,j,0,l), y = (p,q,r,s) and z = (v,w,g,u).
     h0(x,y) and h1(x,y) are h_0 and h_1 read from the kernel's product of
@@ -490,14 +499,17 @@ def _scan_type2_closed(limit):
     """
     cells = list(product(range(limit), repeat=2))  # (a,b)- or (c,d)-exponents
     box = [(i, j, k, l, 0) for i, j in cells for k, l in cells]
+    hs = {}  # H by pair of (a,b)-parts, filled on first use; 1 and 2 read it
 
     def heisenberg(u, v):
         # H on the (a,b)-parts u and v: the type-2 part of their product,
         # less any term with at most one c off its place a^{i+p-mu}
         # b^{j+q-mu} c^mu, which T does not read; so 1 fails on such a term
-        den, prod = _mul_a_mono((*u, 0, 0, 0), (*v, 0, 0, 0))
-        return den, {m: n for m, n in prod.items() if not m[4] and (
-            m[2] > 1 or (m[0] + m[2], m[1] + m[2]) == (u[0] + v[0], u[1] + v[1]))}
+        if (u, v) not in hs:
+            den, prod = _mul_a_mono((*u, 0, 0, 0), (*v, 0, 0, 0))
+            hs[u, v] = den, {m: n for m, n in prod.items() if not m[4] and (
+                m[2] > 1 or (m[0] + m[2], m[1] + m[2]) == (u[0] + v[0], u[1] + v[1]))}
+        return hs[u, v]
 
     def correction(x, y):
         # N, the rule's C = N/6 when neither factor has a c
@@ -548,17 +560,18 @@ def _scan_type2_closed(limit):
         for xs in rows:
             yield row((xs, y))
 
-    # 2: T against the closed form, where a correction can fire.  h0 and h1
-    # of every pair of (a,b)-parts, as integers over their least common
-    # denominator lcd (1 for the shipped product), so T = t / (6 lcd).
-    hs = {(u, v): heisenberg(u, v) for u in cells for v in cells}
-    lcd = math.lcm(*(den for den, _ in hs.values()))
-    h01 = {
-        (u, v): tuple(h.get((u[0] + v[0] - mu, u[1] + v[1] - mu, mu, 0, 0), 0) * (lcd // den)
-                      for mu in (0, 1))
-        for (u, v), (den, h) in hs.items()
-    }
-    zero = AElement.zero()
+    # 2: T against the closed form, where a correction can fire, one row
+    # claim per (y, z) over every x without c.  h0 and h1 of every pair of
+    # (a,b)-parts, as integers over their least common denominator lcd (1
+    # for the shipped product), so T = t / (6 lcd).
+    ab_pairs = list(product(cells, repeat=2))
+    lcd = math.lcm(*(heisenberg(u, v)[0] for u, v in ab_pairs))
+    h01 = {}
+    for u, v in ab_pairs:
+        den, h = heisenberg(u, v)
+        h01[u, v] = tuple(h.get((u[0] + v[0] - mu, u[1] + v[1] - mu, mu, 0, 0), 0) * (lcd // den)
+                          for mu in (0, 1))
+    nothing = (1, {})  # the zero entry
     free = [x for x in box if not x[2]]
     for y in (y for y in box if y[2] <= 1):
         p, q, r, s, _ = y
@@ -571,6 +584,7 @@ def _scan_type2_closed(limit):
             h0_yz, h1_yz = h01[y[:2], z[:2]]
             shift = 0 if r + g else 1  # T lands on x a^A b^B d^D e
             A, B, D = p + v - shift, q + w - shift, s + u - 1
+            rule = []
             for x, xy, n_xy, h0_xy in xys:
                 l = x[3]
                 if r:
@@ -580,16 +594,18 @@ def _scan_type2_closed(limit):
                 else:
                     t = (h0_xy * correction(xy, z) + lcd * n_xy
                          - h0_yz * correction(x, yz) - lcd * n_yz + 6 * l * h1_yz)
-                mono = (x[0] + A, x[1] + B, 0, l + D, 1)
-                yield "type-2 associator", (x, y, z), {
-                    "pair rule": AElement._make(6 * lcd, {mono: t}) if t else zero,
-                    "closed form": _type2_associator(x, y, z),
-                }
+                rule.append(_reduced(6 * lcd, {(x[0] + A, x[1] + B, 0, l + D, 1): t}) if t
+                            else nothing)
+            yield "type-2 associator", (free, y, z), {
+                "pair rule": rule,
+                "closed form": [_entry(_type2_associator(x, y, z)) for x in free],
+            }
 
     # 3: H is associative, through the kernel on the (a,b)-monomials
     ab = [(i, j, 0, 0, 0) for i, j in cells]
     el = {x: _amono(x) for x in ab}
     prods = {(x, y): AElement._make(*_mul_a_mono(x, y)) for x in ab for y in ab}
+    zero = AElement.zero()
     for x, y, z in product(ab, repeat=3):
         yield "Heisenberg associativity", (x, y, z), {
             "associator": _bilinear(_mul_a_mono, (1, prods[x, y], el[z]), (-1, el[x], prods[y, z])),
@@ -643,7 +659,20 @@ def _check_alternative(max_degree, samples, seed):
                 for triple in ((m1, m2, m3), (m2, m1, m3), (m2, m3, m1)):
                     yield "type-1 slot", triple, {"associator": associator(1, *triple), "zero": zero}
 
-    # alternation: sign flips under each transposition
+    # alternation: sign flips under each transposition.  On t2 every
+    # associator is computed once, into a table by position in t2 (nested
+    # lists: tuple keys took 0.45 MB against 0.07) that holds each zero one
+    # as the suite's zero, and each claim reads four of them
+    table = [[[associator(1, x, y, z) or zero for z in t2] for y in t2] for x in t2]
+    for (i, x), (j, y), (k, z) in product(enumerate(t2), repeat=3):
+        yield "alternation", (x, y, z), {
+            "(x,y,z)": table[i][j][k],
+            "-(y,x,z)": -table[j][i][k],
+            "-(x,z,y)": -table[i][k][j],
+            "-(z,y,x)": -table[k][j][i],
+        }
+    del table  # free before the scan, which does not read it
+
     def alternation(m1, m2, m3):
         return "alternation", (m1, m2, m3), {
             "(x,y,z)": associator(1, m1, m2, m3),
@@ -652,8 +681,6 @@ def _check_alternative(max_degree, samples, seed):
             "-(z,y,x)": associator(-1, m3, m2, m1),
         }
 
-    for triple in product(t2, repeat=3):
-        yield alternation(*triple)
     rng = random.Random(seed + 1)
     for _ in range(samples):
         prods.clear()  # a seeded triple's products serve its own claim only

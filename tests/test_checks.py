@@ -237,13 +237,17 @@ def test_type2_scan_catches_global_faults(monkeypatch, fault, found):
 
 def test_pair_rule_matches_the_shipped_associator():
     # T comes from the pair rule, not from products: on every piece-2 triple
-    # at limit 3 it equals (xy)z - x(yz) through the shipped product
+    # at limit 3 it equals (xy)z - x(yz) through the shipped product.  A
+    # piece-2 claim is one row of x against one (y, z), read entry by entry
     element = functools.cache(AElement.from_monomial)
     compared = 0
     for what, case, values in checks._scan_type2_closed(limit=3):
         if what == "type-2 associator":
-            compared += 1
-            assert values["pair rule"] == associator_a(*map(element, case)), case
+            xs, y, z = case
+            for x, entry in zip(xs, values["pair rule"], strict=True):
+                compared += 1
+                triple = map(element, (x, y, z))
+                assert AElement._make(*entry) == associator_a(*triple), (x, y, z)
     assert compared == 3 * 3**9
 
 
@@ -263,24 +267,32 @@ _PAIRS2 = (
 def test_type2_scan_counts_every_piece():
     # piece 1 makes one row claim per 2**2 pairs: a factor against the box
     # monomials of one (a,b)-part, on either side; its rows cover every
-    # reached pair once, each with its own entry in every value
+    # reached pair once, each with its own entry in every value.  Piece 2
+    # makes one row claim per (y, z), over the 2**3 x without c
     claims = list(checks._scan_type2_closed(limit=2))
     counts = Counter(what for what, _, _ in claims)
     type1 = sum(1 for x, y in _PAIRS2 if x[4] or y[4])
     assert counts == {
         "H + C decomposition": (len(_PAIRS2) - type1) // 2**2,
         "type-1 concatenation": type1 // 2**2,
-        "type-2 associator": 3 * 2**9,
+        "type-2 associator": 3 * 2**6,
         "Heisenberg associativity": 2**6,
     }
-    pairs = []
+    pairs, triples = [], []
     for what, case, values in claims:
         if what in ("H + C decomposition", "type-1 concatenation"):
             x, y = case
             row = [(x, m) for m in y] if type(y) is list else [(m, y) for m in x]
             assert all(len(value) == len(row) == 2**2 for value in values.values())
             pairs += row
+        elif what == "type-2 associator":
+            xs, y, z = case
+            assert all(len(value) == len(xs) == 2**3 for value in values.values())
+            triples += [(x, y, z) for x in xs]
     assert Counter(pairs) == Counter(_PAIRS2)
+    # every triple whose x has no c and whose y and z have at most one, once
+    assert Counter(triples) == Counter(
+        (x, y, z) for y in _BOX2 for z in _BOX2 if y[2] + z[2] <= 1 for x in _BOX2 if not x[2])
 
 
 _QUOTIENT2 = [m for m in product(range(3), repeat=5) if m[4] < 2 and not (m[4] and m[2])]
@@ -337,9 +349,9 @@ N3 = monomial_count(3)  # 56, the monomials of degree <= 3
 
 # {suite: {label: claims}} at max-degree 3, samples 20, seed 0; each count
 # is its loop bounds where they give a one-line formula.  A row claim counts
-# once: one per left factor (per x and y for cde associativity).  Suite
-# totals: oracle 248, operators 1,455, nucleus 2,730, malcev 435,
-# alternative 20,388, homomorphism 85, special 30.
+# once: one per left factor (per x and y for cde associativity, per y and z
+# for type-2 associator).  Suite totals: oracle 248, operators 1,455,
+# nucleus 2,730, malcev 435, alternative 19,044, homomorphism 85, special 30.
 COVERAGE_AT_3 = {
     "oracle": {
         "product routes": N3,
@@ -374,7 +386,8 @@ COVERAGE_AT_3 = {
         # one row claim per 2**2 pairs
         "H + C decomposition": 680,
         "type-1 concatenation": 144,
-        "type-2 associator": 3 * 2**9,
+        # one row claim per 2**3 triples
+        "type-2 associator": 3 * 2**6,
         "Heisenberg associativity": 2**6,
     },
     # the degree box by rows, the seeded pairs past it and b^n a^n for n = 1..9
@@ -390,7 +403,11 @@ PAIRS_AT_3 = {
         "cde product": monomial_count(4, 3) ** 2,
         "cde associativity": monomial_count(2, 3) ** 3,
     },
-    "alternative": {"H + C decomposition": 2720, "type-1 concatenation": 576},
+    "alternative": {
+        "H + C decomposition": 2720,
+        "type-1 concatenation": 576,
+        "type-2 associator": 3 * 2**9,
+    },
     "homomorphism": {"projection": N3**2 + SAMPLES + 9},
 }
 
@@ -592,6 +609,28 @@ def test_runner_reads_a_row_claim_entry_by_entry(algebra, left, right, found):
     assert checks._compare(iter([alone])) == found
 
 
+_SHORT, _LONG = [(1, {_A: 1})], [(1, {_A: 1}), (1, {_A: 2})]
+
+
+@pytest.mark.parametrize(
+    "inputs, values, found",
+    [
+        ([_A, _D], {"short": _SHORT, "long": _LONG},
+         "probe mismatch on (b, d): short = no entry; long = 2 a"),
+        ([_A, _D], {"long": _LONG, "short": _SHORT},
+         "probe mismatch on (b, d): long = 2 a; short = no entry"),
+        # the list input can end early too
+        ([_A], {"long": _LONG, "short": _SHORT},
+         "probe mismatch on (b, no entry): long = 2 a; short = no entry"),
+    ],
+    ids=["short first", "long first", "short input"],
+)
+def test_runner_fails_a_row_that_ends_early(inputs, values, found):
+    # lists that agree on every entry they share fail at the first entry
+    # one of them lacks, as that entry's own claim would
+    assert checks._compare(iter([("probe", (_B, inputs), values)])) == found
+
+
 def unreduced(real):
     """The element product ``real`` with den and numerators doubled: an
     equal element, not reduced."""
@@ -630,6 +669,37 @@ def test_alternative_reports_a_planted_associator_fault(monkeypatch, max_degree,
     assert report.counterexample == (
         "alternator projection mismatch on (ab, ab, d): projection = 0; "
         "quotient associator = 2 a^2b^2d - 2 abcd + 4/3 abe; zero = 0"
+    )
+
+
+def plus_e(out):
+    """A changed product: ``e`` added."""
+    return {**out, _E: out.get(_E, 0) + 1}
+
+
+@pytest.mark.parametrize("max_degree, samples", [(3, 0), (5, 1000)], ids=["degree-3", "defaults"])
+def test_alternative_reports_a_planted_product_fault(monkeypatch, max_degree, samples):
+    # a * b = ab, now ab + e.  The type-1 slot claims do not see a type-1
+    # term, alternation does: -(x,z,y) and -(z,y,x) read a transposed
+    # triple of its one associator table
+    monkeypatch.setattr(checks, "_mul_a_mono", planted(checks._mul_a_mono, (_A, _B), plus_e))
+    report = run_suite("alternative", max_degree, samples, 0)
+    assert not report.passed
+    assert report.counterexample == (
+        "alternation mismatch on (d, b, a): (x,y,z) = -1/6 e; -(y,x,z) = -1/6 e; "
+        "-(x,z,y) = de - 1/6 e; -(z,y,x) = -de - 1/6 e"
+    )
+
+
+def test_homomorphism_reads_the_kernel_when_called(monkeypatch):
+    # the degree box projects the closed kernel, looked up in envelope at
+    # call time, as mul_u_closed does; a * b = ab, now ab + e.  No pair past
+    # the box is (a, b) at samples 0
+    monkeypatch.setattr(envelope, "_closed_terms", planted(envelope._closed_terms, (_A, _B), plus_e))
+    report = run_suite("homomorphism", 3, 0, 0)
+    assert not report.passed
+    assert report.counterexample == (
+        "projection mismatch on (a, b): project(mul_u) = ab + e; mul_a(project, project) = ab"
     )
 
 
