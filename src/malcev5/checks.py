@@ -549,11 +549,18 @@ def _scan_type2_closed(limit):
             "product": prods, "H + C": [h_plus_c(x, y, hden, h) for x, y in pairs]}
 
     # 1: every product the associators reach, one row per (a,b)-part of the
-    # box factor
-    reached = {m for x in box for y in box for m in _mul_a_mono(x, y)[1]}
-    reached = sorted(reached.difference(box), key=term_key)
+    # box factor; the box rows' products are box x box, so they give the
+    # monomials reached
     rows = [box[n:n + len(cells)] for n in range(0, len(box), len(cells))]
-    for x in box + reached:
+    reached = set()
+    for x in box:
+        for ys in rows:
+            claim = row((x, ys))
+            for _, terms in claim[2]["product"]:
+                reached.update(terms)
+            yield claim
+    reached = sorted(reached.difference(box), key=term_key)
+    for x in reached:
         for ys in rows:
             yield row((x, ys))
     for y in reached:

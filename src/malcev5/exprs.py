@@ -19,9 +19,17 @@ generators do not commute and ``ba != ab``.  Both ASCII ``-`` and the
 typographic minus U+2212 are accepted on input; output always uses ASCII.
 Errors carry the UTF-8 byte offset of the offending token.
 
-Parsing sums the terms as ``int`` numerators over one common denominator,
-and ``str`` and :func:`element_json` render from the element's numerators;
-neither builds a ``Fraction``.
+:func:`parse_element` reads each term with one compiled pattern, ``_TERM``:
+the sign, the numerator, an optional ``/`` and denominator, an optional
+``*`` and the monomial, as one optional slot per letter in the order
+``a..e``, with the spaces after the term; it matches only where the next
+sign or the end follows.  Python then checks a zero denominator and the
+``int`` digit limit, and sums the term with one accumulation step as
+``int`` numerators over one common denominator.  That is the one path that
+accepts text.  Errors come from the grammar's rule methods on ``_Parser``:
+when the pattern or a check rejects a term, they read that term again and
+raise at its first fault.  ``str`` and :func:`element_json` render from
+the element's numerators; neither builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -30,15 +38,36 @@ import json
 import re
 
 from .alternative import AElement, is_type1
-from .core import LETTER_INDEX, ONE, UElement, _accumulate, _pruned, _reduced
+from .core import LETTER_INDEX, LETTERS, UElement, _accumulate, _pruned, _reduced
 
-_MINUS = {"-", "−"}
-_SIGNS = {"+"} | _MINUS
+_SIGNS = {"+", "-", "−"}
 # ASCII only: str.isdigit() also admits "²", which int() rejects
 _DIGITS = frozenset("0123456789")
 _UINT = re.compile("[0-9]*").match
 # \s is exactly str.isspace(); the tests check every code point
-_WS = re.compile(r"\s*").match
+_S = r"\s*"
+_WS = re.compile(_S).match
+
+
+def _slot(k: int) -> str:
+    """The pattern of the ``k``-th letter's factor in a monomial: the letter,
+    then ``^`` and the exponent's digits or an empty group, then ``*``
+    (spaces allowed) only where a later letter follows; the whole slot is
+    optional.  Juxtaposed factors need no ``*``."""
+    later = LETTERS[k + 1:]
+    join = rf"(?:{_S}\*{_S}(?=[{later}]))?" if later else ""
+    return rf"(?:{LETTERS[k]}(?:\^([0-9]+)|()){join})?"
+
+
+# one signed term and the spaces after it, matched only when the next sign
+# or the end follows.  The monomial is the five slots in letter order, so
+# a letter out of order or repeated does not match.  The groups are the
+# minus sign, the numerator, the denominator and each slot's pair.
+_TERM = re.compile(
+    rf"(?:([\-−])|\+)?{_S}(?=[0-9a-e])"
+    rf"(?:([0-9]+)(?:{_S}/{_S}([0-9]+))?(?:{_S}(?:\*{_S})?(?=[a-e]))?)?"
+    rf"{''.join(map(_slot, range(5)))}{_S}(?=[+\-−]|\Z)"
+).match
 
 
 class ParseError(ValueError):
@@ -50,11 +79,18 @@ class ParseError(ValueError):
 
 
 class _Parser:
-    """One pass over ``text``; ``i`` is the position of the next character.
+    """The error locator of :func:`parse_element`.
 
-    Each rule reads from ``i`` and leaves it just past what it consumed.
-    Whitespace and digit runs are read by the compiled patterns, and the
-    terms are summed as ``int`` numerators over one common denominator.
+    :func:`parse_element` accepts a term only through the pattern
+    ``_TERM``, which reads the whole signed term, its monomial as five
+    ordered letter slots, and matches only where the next sign or the end
+    follows.  When the pattern does not match, or the denominator is zero,
+    or a number is past the ``int`` digit limit, :meth:`locate` reads that
+    term again with the grammar's rules (``term``, ``rational``,
+    ``monomial``, ``uint``) and raises the ``ParseError`` of its first
+    fault, so that every message and offset is the grammar's.  It accepts
+    nothing.  ``i`` is the position of the next character; each rule reads
+    from ``i`` and leaves it just past what it consumed.
     """
 
     def __init__(self, text: str):
@@ -74,22 +110,17 @@ class _Parser:
         except ValueError:  # past sys.get_int_max_str_digits()
             self.fail(f"too many digits in {what}", start)
 
-    def rational(self) -> tuple:
-        """``(num, den)`` with ``den > 0``, not reduced."""
-        num = self.uint("a number")
+    def rational(self) -> None:
+        self.uint("a number")
         text = self.text
         j = _WS(text, self.i).end()
         if text[j:j + 1] == "/":
             self.i = den_pos = _WS(text, j + 1).end()
-            den = self.uint("a denominator")
-            if den == 0:
+            if self.uint("a denominator") == 0:
                 self.fail("zero denominator", den_pos)
-            return num, den
-        return num, 1
 
-    def monomial(self) -> tuple:
+    def monomial(self) -> None:
         text, i = self.text, self.i
-        exps = [0, 0, 0, 0, 0]
         last = -1
         while True:
             ch = text[i:i + 1]
@@ -102,10 +133,8 @@ class _Parser:
             i += 1
             if text[i:i + 1] == "^":
                 self.i = i + 1
-                exps[v] = self.uint("an exponent after '^'")
+                self.uint("an exponent after '^'")
                 i = self.i
-            else:
-                exps[v] = 1
             # another factor? '*' (spaces allowed) or direct juxtaposition
             j = _WS(text, i).end()
             if text[j:j + 1] == "*":
@@ -114,59 +143,43 @@ class _Parser:
             if text[i:i + 1] in LETTER_INDEX:
                 continue
             self.i = i
-            return tuple(exps)
+            return
 
-    def term(self) -> tuple:
-        """``(num, den, monomial)`` of the unsigned term at ``i``."""
+    def term(self) -> None:
+        """Read the unsigned term at ``i``."""
         text = self.text
         ch = text[self.i:self.i + 1]
         if ch in _DIGITS:
-            num, den = self.rational()
+            self.rational()
             j = _WS(text, self.i).end()
             ch = text[j:j + 1]
             if ch == "*":
                 self.i = j = _WS(text, j + 1).end()
                 if text[j:j + 1] not in LETTER_INDEX:
                     self.fail("expected a monomial after '*'")
-                return num, den, self.monomial()
-            if ch in LETTER_INDEX:
+                self.monomial()
+            elif ch in LETTER_INDEX:
                 self.i = j
-                return num, den, self.monomial()
-            return num, den, ONE
-        if ch in LETTER_INDEX:
-            return 1, 1, self.monomial()
-        if ch.isalpha():
+                self.monomial()
+        elif ch in LETTER_INDEX:
+            self.monomial()
+        elif ch.isalpha():
             self.fail(f"unknown generator {ch!r}; expected one of a, b, c, d, e")
-        self.fail("expected a term" if ch else "unexpected end of input")
+        else:
+            self.fail("expected a term" if ch else "unexpected end of input")
 
-    def parse(self, cls):
+    def locate(self, i: int):
+        """Raise the ``ParseError`` of the signed term at ``i``.
+
+        The rules raise at the term's first fault; a term that they read
+        through is one that neither the next sign nor the end follows.
+        """
         text = self.text
-        n = len(text)
-        i = _WS(text, 0).end()
-        if i == n:
-            self.fail("empty expression", i)
-        den, acc = 1, {}
-        first = True
-        while True:
-            i = _WS(text, i).end()
-            if i == n:
-                break
-            ch = text[i]
-            sign = 1
-            if ch in _SIGNS:
-                if ch in _MINUS:
-                    sign = -1
-                i = _WS(text, i + 1).end()
-            elif not first:
-                self.fail("expected '+' or '-' between terms", i)
-            self.i = i
-            num, q, mono = self.term()
-            i = self.i
-            den = _accumulate(acc, den, sign * num, q, {mono: 1})
-            first = False
-        for mono in acc:  # before pruning: a cancelled term must be a basis term too
-            cls._check_member(mono)
-        return cls._make(*_reduced(den, _pruned(acc)))
+        if text[i:i + 1] in _SIGNS:
+            i = _WS(text, i + 1).end()
+        self.i = i
+        self.term()
+        self.fail("expected '+' or '-' between terms", _WS(text, self.i).end())
 
 
 def parse_element(text: str, cls=UElement):
@@ -179,7 +192,37 @@ def parse_element(text: str, cls=UElement):
     """
     if cls is not UElement and cls is not AElement:
         raise TypeError(f"parse_element builds a UElement or an AElement, got {cls!r}")
-    return _Parser(text).parse(cls)
+    # the one path that accepts text: a term per match of _TERM
+    n = len(text)
+    i = _WS(text).end()
+    if i == n:
+        raise ParseError("empty expression", text, i)
+    den, acc = 1, {}
+    while i < n:
+        m = _TERM(text, i)
+        if m is None:
+            _Parser(text).locate(i)
+        minus, num, q, a, a1, b, b1, c, c1, d, d1, e, e1 = m.groups()
+        try:
+            num = int(num) if num else 1
+            q = int(q) if q else 1
+            # a slot's exponent: its digits, 1 when written bare, 0 when absent
+            mono = (
+                int(a) if a else 0 if a1 is None else 1,
+                int(b) if b else 0 if b1 is None else 1,
+                int(c) if c else 0 if c1 is None else 1,
+                int(d) if d else 0 if d1 is None else 1,
+                int(e) if e else 0 if e1 is None else 1,
+            )
+        except ValueError:  # past sys.get_int_max_str_digits()
+            mono = None
+        if mono is None or not q:
+            _Parser(text).locate(i)
+        den = _accumulate(acc, den, -num if minus else num, q, {mono: 1})
+        i = m.end()
+    for mono in acc:  # before pruning: a cancelled term must be a basis term too
+        cls._check_member(mono)
+    return cls._make(*_reduced(den, _pruned(acc)))
 
 
 def element_json(el, with_type: bool = False) -> str:

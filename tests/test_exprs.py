@@ -359,6 +359,13 @@ def test_parser_matches_reference_on_edge_texts():
         "a ^2", "a^ 2", "a b", "2 3", "1 / 2 * a * b", "2 *\tab", "a*", "2*", "2 * 3",
         "1" * (limit + 1) + " a", "a^" + "2" * (limit + 1), "1/" + "3" * (limit + 1),
         "", "  ", "−", "+ −a", "a −− b", "1 − f", "é", "²", "a²", "a\u3000+\x85b",
+        # non-ASCII digits, leading zeros
+        "a^\u0663", "\u0663 a", "1/\u0663", "a^01", "007 a", "1/007 b",
+        # doubled or stray operators
+        "a**b", "a* *b", "2**a", "a^^2", "a^2^3", "*a", "/2 a", "2/ a", "a/2", "+-a",
+        "a +", "a * ",
+        # repeated or foreign letters, digits after a letter or a caret
+        "aa", "a^2a", "ab a", "A", "f", "a2", "a 2", "2^3",
     ]
     for text in texts:
         _same_as_reference(text)
