@@ -32,24 +32,34 @@ from .core import (
 )
 
 
+def _basis_type(mono: Monomial) -> int:
+    """The one membership rule: 1 or 2, the quotient basis type of a
+    well-formed ``mono``, or 0 when it lies in the alternator ideal."""
+    c, e = mono[2], mono[4]
+    return 2 if not e else 1 if e == 1 and not c else 0
+
+
 def in_ideal_j(mono: Monomial) -> bool:
     """True when the monomial lies in the alternator ideal.
 
     Membership depends only on the ``c``- and ``e``-exponents: everything
     with ``e^2`` or higher dies, as does anything with both a ``c`` and an
-    ``e``.
+    ``e``.  Raises ``ValueError`` unless ``mono`` is a monomial.
     """
-    return mono[4] >= 2 or (mono[4] == 1 and mono[2] >= 1)
+    _check_monomial(mono)
+    return not _basis_type(mono)
 
 
 def is_type1(mono: Monomial) -> bool:
     """Quotient basis monomial of the form ``a^i b^j d^l e``."""
-    return mono[4] == 1 and mono[2] == 0
+    _check_monomial(mono)
+    return _basis_type(mono) == 1
 
 
 def is_type2(mono: Monomial) -> bool:
     """Quotient basis monomial of the form ``a^i b^j c^k d^l``."""
-    return mono[4] == 0
+    _check_monomial(mono)
+    return _basis_type(mono) == 2
 
 
 class AElement(_MonomialElement):
@@ -59,7 +69,7 @@ class AElement(_MonomialElement):
 
     @staticmethod
     def _check_member(mono) -> None:
-        if in_ideal_j(mono):
+        if not _basis_type(mono):
             raise ValueError(
                 f"{format_monomial(mono)} lies in the alternator ideal and is not a basis "
                 "monomial of the quotient"
@@ -74,7 +84,7 @@ def project(x: UElement) -> AElement:
     one raises ``TypeError`` rather than returning it unchanged.
     """
     _expect(UElement, x)
-    return AElement._make(x._den, {mono: n for mono, n in x._num.items() if not in_ideal_j(mono)})
+    return AElement._make(x._den, {mono: n for mono, n in x._num.items() if _basis_type(mono)})
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,7 @@ def type2_associator_closed(x: Monomial, y: Monomial, z: Monomial) -> AElement:
     """
     for mono in (x, y, z):
         _check_monomial(mono)
-        if not is_type2(mono):
+        if _basis_type(mono) != 2:
             raise ValueError(f"{mono!r} is not a type-2 basis monomial")
     return _type2_associator(x, y, z)
 

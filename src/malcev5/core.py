@@ -190,20 +190,16 @@ def format_terms(sorted_items, render=format_monomial) -> str:
 # sparse linear combinations
 # ---------------------------------------------------------------------------
 
-def _pruned(acc: dict, keys=None) -> dict:
+def _pruned(acc: dict) -> dict:
     """Delete the zero coefficients of the term dict ``acc`` in place; return it.
 
     Accumulators sum without checking for zero and pass through here once,
     before they become an element or a memoized term dict: this is the one
     place that keeps the rule that zero coefficients are never stored.
-    When only some keys can have cancelled, ``keys`` names them and only
-    those are checked.
     """
-    if keys is None:
-        if all(acc.values()):  # one scan when nothing cancelled
-            return acc
-        keys = acc
-    for key in [key for key in keys if not acc[key]]:
+    if all(acc.values()):  # one scan when nothing cancelled
+        return acc
+    for key in [key for key, n in acc.items() if not n]:
         del acc[key]
     return acc
 
@@ -350,11 +346,8 @@ class _SparseElement:
         do not reduce ``_den``.  No ``Fraction`` is built.
         """
         den, num = self._den, self._num
-        keys = sorted(num, key=self._term_key, reverse=True)
-        if den == 1:
-            return [(key, str(num[key])) for key in keys]
         out = []
-        for key in keys:
+        for key in sorted(num, key=self._term_key, reverse=True):
             n = num[key]
             g = math.gcd(n, den)
             out.append((key, str(n // g) if g == den else f"{n // g}/{den // g}"))
@@ -364,15 +357,14 @@ class _SparseElement:
         """The coefficient of ``key``, as in ``terms``; ``ValueError`` unless
         ``key`` is a basis key."""
         self._check_basis(key)
-        n, den = self._num.get(key, 0), self._den
-        return Fraction(n, den) if n % den else n // den
+        return self.terms.get(key, 0)
 
     def __add__(self, other, sign=1):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self._num)
         den = _accumulate(out, self._den, sign, other._den, other._num)
-        return type(self)._make(den, _pruned(out, other._num))  # only these can cancel
+        return type(self)._make(den, _pruned(out))
 
     def __sub__(self, other):
         return self.__add__(other, -1)

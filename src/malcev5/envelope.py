@@ -13,13 +13,14 @@ Two independent multiplication routes live here and must agree everywhere:
   general product, peeling a generator off its left factor).  It reads the
   brackets from ``core._BRACKETS``, which :func:`~malcev5.core.bracket_m`
   extends and the other two routes never read.  Each recursion returns
-  ``(den, numerators)`` like every kernel, and each row of its table is one
-  :func:`~malcev5.core._sum_into` over memoized sub-results.  An empty or
-  one-term result is one shared object, ``_EMPTY`` or an entry of
-  ``_one_term``, so the three memo tables hold no copies of the many that
-  repeat.  The public products evaluate their own pairs through the
-  unmemoized bodies, so the tables keep only the sub-results the recursion
-  reads back.  The tests evaluate the same tables on closed products.
+  ``(den, numerators)`` like every kernel, and one step, ``_evaluate``, sums
+  any table's rows, each one :func:`~malcev5.core._sum_into` over memoized
+  sub-results.  An empty or one-term result is one shared object,
+  ``_EMPTY`` or an entry of ``_one_term``, so the three memo tables hold no
+  copies of the many that repeat.  The public products evaluate their own
+  pairs through the unmemoized bodies, so the tables keep only the
+  sub-results the recursion reads back.  The tests evaluate the same tables
+  on closed products.
 
 The recursion is the ground truth the closed form is tested against; the
 closed form is what everything else uses.  ``check oracle`` compares the
@@ -248,22 +249,6 @@ def _one_term(den: int, mono: Monomial, n: int) -> tuple:
     return den, {mono: n}
 
 
-def _shared(den: int, num: dict) -> tuple:
-    """``(den, num)``, as the shared object when it has at most one term.
-
-    Called at the return of a recursion's general branch, never around the
-    memoized function, which would add a frame at every level.  The base
-    cases call :func:`_one_term` or return ``_EMPTY`` themselves, so the
-    deepest frame gains nothing.
-    """
-    if len(num) > 1:
-        return den, num
-    if not num:
-        return _EMPTY
-    ((mono, n),) = num.items()
-    return _one_term(den, mono, n)
-
-
 def _leading(mono):
     # index of the smallest letter present; 5, past every letter, for the unit
     for v in range(5):
@@ -314,6 +299,24 @@ _MUL_IDENTITY = (
 )
 
 
+def _evaluate(identity, ops) -> tuple:
+    """The rows of ``identity`` summed over the operands ``ops``, as ``(den, numerators)``.
+
+    The one evaluation step of the three recursions.  A result with at most
+    one term is the shared object, ``_EMPTY`` or an entry of
+    :func:`_one_term`.  The step runs in a recursion's body, never around
+    the memoized function, which would add a frame at every level.
+    """
+    out, den = {}, 1
+    for sign, d, left, product, right in identity:
+        den = _sum_into(out, den, _ORACLE[product], sign, (d, ops[left]), ops[right])
+    den, num = _reduced(den, _pruned(out))
+    if len(num) != 1:
+        return (den, num) if num else _EMPTY
+    ((mono, n),) = num.items()
+    return _one_term(den, mono, n)
+
+
 @memoized
 def _lmul_letter(f, x):
     """``f * x`` for a generator index ``f`` and monomial ``x``, as ``(den, numerators)``.
@@ -327,12 +330,9 @@ def _lmul_letter(f, x):
     if f <= g:
         return _one_term(1, _prepended(f, x), 1)
     y = _strip(x, g)
-    ops = {"f": {f: 1}, "g": {g: 1}, "[f,g]": _BRACKETS.get((f, g), {}), "y": (1, {y: 1}),
-           "f y": _lmul_letter(f, y), "[y,f]": _bracket_mono(f, y), "[y,g]": _bracket_mono(g, y)}
-    out, den = {}, 1
-    for sign, d, left, product, right in _LMUL_IDENTITY:
-        den = _sum_into(out, den, _ORACLE[product], sign, (d, ops[left]), ops[right])
-    return _shared(*_reduced(den, _pruned(out)))
+    return _evaluate(_LMUL_IDENTITY, {
+        "f": {f: 1}, "g": {g: 1}, "[f,g]": _BRACKETS.get((f, g), {}), "y": (1, {y: 1}),
+        "f y": _lmul_letter(f, y), "[y,f]": _bracket_mono(f, y), "[y,g]": _bracket_mono(g, y)})
 
 
 @memoized
@@ -343,12 +343,9 @@ def _bracket_mono(f, x):
         return _EMPTY
     g = _leading(x)
     y = _strip(x, g)
-    ops = {"f": {f: 1}, "g": {g: 1}, "[f,g]": _BRACKETS.get((f, g), {}), "y": (1, {y: 1}),
-           "[y,f]": _bracket_mono(f, y), "[y,g]": _bracket_mono(g, y)}
-    out, den = {}, 1
-    for sign, d, left, product, right in _BRACKET_IDENTITY:
-        den = _sum_into(out, den, _ORACLE[product], sign, (d, ops[left]), ops[right])
-    return _shared(*_reduced(den, _pruned(out)))
+    return _evaluate(_BRACKET_IDENTITY, {
+        "f": {f: 1}, "g": {g: 1}, "[f,g]": _BRACKETS.get((f, g), {}), "y": (1, {y: 1}),
+        "[y,f]": _bracket_mono(f, y), "[y,g]": _bracket_mono(g, y)})
 
 
 @memoized
@@ -361,12 +358,8 @@ def _mul_mono(x, z):
     xt = _strip(x, f)
     if xt == ONE:
         return _lmul_letter(f, z)
-    ops = {"f": {f: 1}, "x'": {xt: 1}, "x'z": _mul_mono(xt, z),
-           "f z": _lmul_letter(f, z), "[z,f]": _bracket_mono(f, z)}
-    out, den = {}, 1
-    for sign, d, left, product, right in _MUL_IDENTITY:
-        den = _sum_into(out, den, _ORACLE[product], sign, (d, ops[left]), ops[right])
-    return _shared(*_reduced(den, _pruned(out)))
+    return _evaluate(_MUL_IDENTITY, {"f": {f: 1}, "x'": {xt: 1}, "x'z": _mul_mono(xt, z),
+                                     "f z": _lmul_letter(f, z), "[z,f]": _bracket_mono(f, z)})
 
 
 #: each product name of the identity tables, as the recursion that computes it

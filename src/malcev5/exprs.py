@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 
-from .alternative import AElement, is_type1
+from .alternative import AElement, _basis_type
 from .core import LETTER_INDEX, LETTERS, UElement, _accumulate, _pruned, _reduced
 
 _SIGNS = {"+", "-", "−"}
@@ -242,6 +242,6 @@ def element_json(el, with_type: bool = False) -> str:
     for mono, coeff in el._display_terms():
         item = {"coeff": coeff, "exp": list(mono)}
         if with_type:
-            item["type"] = 1 if is_type1(mono) else 2
+            item["type"] = _basis_type(mono)
         out.append(item)
     return json.dumps(out)

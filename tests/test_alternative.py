@@ -66,6 +66,15 @@ def test_type_split():
     assert is_type2((0, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("predicate", [in_ideal_j, is_type1, is_type2])
+@pytest.mark.parametrize("mono", [(1, 2), (0, 0, -1, 0, 1), "abcde", (0, 0, True, 0, 1)])
+def test_monomial_predicates_reject_malformed_monomials(predicate, mono):
+    # like every public monomial entry point: a short tuple, a negative or
+    # bool exponent and a string fail alike, with no IndexError or answer
+    with pytest.raises(ValueError):
+        predicate(mono)
+
+
 def test_aelement_rejects_ideal_monomials():
     with pytest.raises(ValueError):
         AElement({(0, 0, 1, 0, 1): Fraction(1)})

@@ -165,6 +165,8 @@ def test_oracle_recursion_overflow_reports():
     try:
         with pytest.raises(ComputationError):
             mul_u_oracle(deep, U((0, 0, 40, 0, 0)))
+        with pytest.raises(ComputationError):
+            bracket_u_oracle(U((0, 0, 40, 60, 0)), "a")
     finally:
         sys.setrecursionlimit(limit)
         clear_memos()
