@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as _iterproduct
 
 from .core import (
     LETTERS,
@@ -159,28 +158,35 @@ def _apply_word(mono, word) -> tuple:
     return 1, {new: factor}
 
 
-# the only (contraction, weight) choice of a letter that D and M do not share
-_NO_CONTRACTION = ((0, 1),)
-
-
 def _compose_words(w1, w2) -> tuple:
-    """The normal-ordered product of two words, over 1, expanded as in
-    :func:`compose` over one ``(i, i! C(m,i) C(n,i))`` choice per letter."""
+    """The normal-ordered product of two words, over 1, as in :func:`compose`.
+
+    It starts from the concatenated word ``M^(m1+m2) D^(d1+d2)`` with weight
+    1 and expands it letter by letter, a to d.  Only a letter where the left
+    word's ``D^m`` meets the right word's ``M^n`` (both nonzero) expands: it
+    replaces each term by ``min(m, n) + 1`` terms, the ``i``-th with that
+    letter's ``M`` and ``D`` lowered by ``i`` and its weight times ``i!
+    C(m,i) C(n,i)``, the factor updated as ``w (m-i+1) (n-i+1) / i``.  So
+    the terms come in the lexicographic order of their contraction indices,
+    the earlier letters varying slowest.
+    """
     (m1, d1), (m2, d2) = w1, w2
-    choices = [
-        [(i, math.factorial(i) * math.comb(m, i) * math.comb(n, i)) for i in range(min(m, n) + 1)]
-        if m and n else _NO_CONTRACTION
-        for m, n in zip(d1, m2)
-    ]
-    out = {}
-    for (ia, wa), (ib, wb), (ic, wc), (id_, wd) in _iterproduct(*choices):
-        word = (
-            (m1[0] + m2[0] - ia, m1[1] + m2[1] - ib, m1[2] + m2[2] - ic,
-             m1[3] + m2[3] - id_, m1[4] + m2[4]),
-            (d1[0] + d2[0] - ia, d1[1] + d2[1] - ib, d1[2] + d2[2] - ic,
-             d1[3] + d2[3] - id_),
-        )
-        out[word] = wa * wb * wc * wd
+    mul = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3], m1[4] + m2[4])
+    der = (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], d1[3] + d2[3])
+    out = {(mul, der): 1}
+    for v in range(4):
+        m, n = d1[v], m2[v]
+        if m and n:
+            k = min(m, n)
+            prev, out = out, {}
+            for (mul, der), w in prev.items():
+                out[mul, der] = w
+                mul, der = list(mul), list(der)
+                for i in range(1, k + 1):
+                    w = w * (m - i + 1) * (n - i + 1) // i
+                    mul[v] -= 1
+                    der[v] -= 1
+                    out[tuple(mul), tuple(der)] = w
     return 1, out
 
 
@@ -190,7 +196,10 @@ def compose(f: Operator, g: Operator) -> Operator:
     Straightening moves every derivation of ``f`` past the multiplications
     of ``g``.  Letter by letter, ``D^m M^n = sum_i i! C(m,i) C(n,i)
     M^(n-i) D^(m-i)``, and distinct letters commute, so the product of two
-    words expands over one contraction index per colliding letter.
+    words expands over one contraction index per colliding letter.  The
+    product of two words starts from their concatenation and expands only
+    the colliding letters, a to d, so its terms come in the lexicographic
+    order of their contraction indices, the earlier letters varying slowest.
     """
     _expect(Operator, f, g)
     return _bilinear(_compose_words, (1, f, g))

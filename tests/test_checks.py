@@ -814,3 +814,37 @@ def test_oracle_reports_a_planted_generator_table_fault(monkeypatch):
         "product routes mismatch on (b, ad): closed = abd - cd + 1/3 e; "
         "oracle = abd - cd + 1/3 e; operator = abd - cd + 2/3 e"
     )
+
+
+def test_operators_reports_a_planted_contraction_weight_fault(monkeypatch):
+    # the word kernel with its weight update off by one, (n - i) for
+    # (n - i + 1), so that D_a M_a = M_a D_a: both terms of [L(a), L(b)]
+    # come from L(b)'s D_a meeting L(a) = M_a, and both are lost
+    def faulty(w1, w2):
+        (m1, d1), (m2, d2) = w1, w2
+        mul = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3], m1[4] + m2[4])
+        der = (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], d1[3] + d2[3])
+        out = {(mul, der): 1}
+        for v in range(4):
+            m, n = d1[v], m2[v]
+            if m and n:
+                k = min(m, n)
+                prev, out = out, {}
+                for (mul, der), w in prev.items():
+                    out[mul, der] = w
+                    mul, der = list(mul), list(der)
+                    for i in range(1, k + 1):
+                        w = w * (m - i + 1) * (n - i) // i
+                        mul[v] -= 1
+                        der[v] -= 1
+                        out[tuple(mul), tuple(der)] = w
+        return 1, out
+
+    monkeypatch.setattr(diffops, "_compose_words", faulty)
+    monkeypatch.setattr(checks, "_compose_words", faulty)
+    report = run_suite("operators", 3, 20, 0)
+    assert not report.passed
+    assert report.counterexample == (
+        "commutator table mismatch on (L(a), L(b)): commutator = 0; "
+        "table = -1/3 M_e D_d + M_c"
+    )

@@ -7,6 +7,7 @@ so the canonical commutation relations get checked from several angles.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -138,8 +139,6 @@ def test_reordering_powers():
 
 def test_reordering_general_powers():
     # D^m M^n = sum_i i! C(m,i) C(n,i) M^(n-i) D^(m-i), checked per letter
-    import math
-
     for m in range(4):
         for n in range(4):
             dm = Operator.word((0, 0, 0, 0, 0), (0, m, 0, 0))
@@ -151,6 +150,74 @@ def test_reordering_general_powers():
                     (0, n - i, 0, 0, 0), (0, m - i, 0, 0), coeff
                 )
             assert compose(dm, mn) == expect
+
+
+def reference_compose_words(w1, w2):
+    """The product-over-choices form of the word kernel, frozen as the
+    reference: one ``(i, i! C(m,i) C(n,i))`` list per letter, the one choice
+    ``(0, 1)`` where D and M do not meet, and a word built per choice."""
+    (m1, d1), (m2, d2) = w1, w2
+    choices = [
+        [(i, math.factorial(i) * math.comb(m, i) * math.comb(n, i)) for i in range(min(m, n) + 1)]
+        if m and n else [(0, 1)]
+        for m, n in zip(d1, m2)
+    ]
+    out = {}
+    for (ia, wa), (ib, wb), (ic, wc), (id_, wd) in itertools.product(*choices):
+        word = (
+            (m1[0] + m2[0] - ia, m1[1] + m2[1] - ib, m1[2] + m2[2] - ic,
+             m1[3] + m2[3] - id_, m1[4] + m2[4]),
+            (d1[0] + d2[0] - ia, d1[1] + d2[1] - ib, d1[2] + d2[2] - ic,
+             d1[3] + d2[3] - id_),
+        )
+        out[word] = wa * wb * wc * wd
+    return 1, out
+
+
+def generator_power_words():
+    """Every word of ``lmul(x)^k`` and ``rho(x)^k`` for k = 1..4."""
+    words = set()
+    for table in (lmul, rho):
+        for ch in "abcde":
+            power = Operator.identity()
+            for _ in range(4):
+                power = compose(power, table(ch))
+                words.update(power.terms)
+    return sorted(words)
+
+
+def sampled_word_pairs(per_count, seed):
+    """Seeded pairs of words with exponents <= 3, ``per_count`` of them for
+    each number 0..4 of letters where the left D meets the right M."""
+    pick = random.Random(seed)
+    for meeting in range(5):
+        for _ in range(per_count):
+            meet = pick.sample(range(4), meeting)
+            d1 = [pick.randint(0, 3) for _ in range(4)]
+            m2 = [pick.randint(0, 3) for _ in range(5)]
+            for v in range(4):
+                if v in meet:
+                    d1[v], m2[v] = pick.randint(1, 3), pick.randint(1, 3)
+                elif d1[v]:
+                    m2[v] = 0
+            m1 = tuple(pick.randint(0, 3) for _ in range(5))
+            d2 = tuple(pick.randint(0, 3) for _ in range(4))
+            yield (m1, tuple(d1)), (tuple(m2), d2)
+
+
+def test_compose_words_matches_the_product_form():
+    # the same values in the same term order as the product form, on every
+    # pair of generator-power words and on seeded pairs
+    words = generator_power_words()
+    pairs = itertools.chain(
+        itertools.product(words, repeat=2), sampled_word_pairs(400, 32)
+    )
+    seen = set()
+    for w1, w2 in pairs:
+        seen.add(sum(1 for v in range(4) if w1[1][v] and w2[0][v]))
+        got, want = diffops._compose_words(w1, w2), reference_compose_words(w1, w2)
+        assert got == want and list(got[1]) == list(want[1]), (w1, w2)
+    assert seen == {0, 1, 2, 3, 4}
 
 
 def test_compose_matches_function_composition():

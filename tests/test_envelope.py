@@ -173,8 +173,9 @@ def test_oracle_recursion_overflow_reports():
 
 
 def test_oracle_depth_at_degree_thirty():
-    # d^30 c^30 needs 129 frames beyond its caller on 3.11; the margin is
-    # for other versions, and a recursion that grew per level would pass it
+    # d^30 c^30 needs 132 frames beyond its caller on 3.11; the 18 left of
+    # the 150 are for other versions, and a recursion that grew per level
+    # would pass them
     core.clear_memos()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
