@@ -126,6 +126,10 @@ def _closed_terms(x: Monomial, y: Monomial) -> tuple:
     monomial, so no caller can reach the cached entry.  An unshifted pair
     is its own representative, and its tuples are the memo key: the table
     then holds no copy of them.
+
+    Every term has the multidegree ``md(x) + md(y)``, where
+    ``md(a^i b^j c^k d^l e^m) = (i+k+m, j+k+m, l+m)``, and a term's index
+    ``(u, v)`` is its two free coordinates in that multidegree class.
     """
     i, j, k, l, m = x
     p, q, r, s, t = y

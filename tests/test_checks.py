@@ -6,6 +6,7 @@ sure every suite runs, passes, and reports deterministically at toy sizes.
 """
 
 import functools
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -418,17 +419,50 @@ def test_coverage_manifest():
     assert counts == COVERAGE_AT_3
 
 
+# SHA-256 of each suite's claims at max-degree 3, samples 20, seed 0, as
+# rendered by shown_claim: a change that keeps the counts above but changes
+# a label, a case, a value or their order changes the digest
+DIGEST_AT_3 = {
+    "oracle": "cccba6f0e462cb5c5df14747938e250daeaa60d78650365530f9f5730be183b8",
+    "operators": "2f197d85990ae6fb59e9d1594bb05f4b7074be7b5cd93b6ab3de401c051f52c2",
+    "nucleus": "5d8ae3153732a67d3ffcaa66a2288b05bf3ddb0c4fc657096e50d5ead6c60a87",
+    "malcev": "26d4fdc9cd4b2001735dd921a849964ba56cf6892268ac4c8eede8a7f2cb24a3",
+    "alternative": "e8c5f7d24f59c061b221800067f6771a7217e060a2aa318a914c8dc9c0d53707",
+    "homomorphism": "aca711a06873c177bab98cdfa5da629095c4afd16ed14d5e70aaeb758d0000b4",
+    "special": "2449236f96c773d86ee9361913f43a4ba875600fd452543c8bfd560ee776f52e",
+}
+
+
+def shown(v):
+    # a monomial by format_monomial, a list entry by entry, anything else by str
+    if type(v) is list:
+        return "[" + ", ".join(map(shown, v)) + "]"
+    return core.format_monomial(v) if isinstance(v, tuple) else str(v)
+
+
+def shown_claim(what, case, values):
+    # one line per claim; a row value's (den, numerators) entries as UElements
+    vals = "; ".join(
+        f"{name} = " + shown([UElement._make(*e) for e in v] if type(v) is list else v)
+        for name, v in values.items())
+    return f"{what} on ({', '.join(map(shown, case))}): {vals}\n"
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_rows_hold_every_pair(name):
     # a row's list input and every list value have one entry per pair, and
-    # the rows of a label hold as many pairs as its pair claims did
+    # the rows of a label hold as many pairs as its pair claims did; the
+    # digest pins every claim's label, case and values, in order
     pairs = Counter()
+    digest = hashlib.sha256()
     for what, case, values in checks._SUITES[name](3, SAMPLES, 0):
         lists = [v for v in (*case, *values.values()) if type(v) is list]
         assert len(lists) in (0, len(values) + 1)
         assert len(set(map(len, lists))) <= 1
         pairs[what] += len(lists[0]) if lists else 1
+        digest.update(shown_claim(what, case, values).encode())
     assert pairs == {**COVERAGE_AT_3[name], **PAIRS_AT_3.get(name, {})}
+    assert digest.hexdigest() == DIGEST_AT_3[name]
 
 
 def doubled_past_mu_5(real):
@@ -680,8 +714,8 @@ def plus_e(out):
 @pytest.mark.parametrize("max_degree, samples", [(3, 0), (5, 1000)], ids=["degree-3", "defaults"])
 def test_alternative_reports_a_planted_product_fault(monkeypatch, max_degree, samples):
     # a * b = ab, now ab + e.  The type-1 slot claims do not see a type-1
-    # term, alternation does: -(x,z,y) and -(z,y,x) read a transposed
-    # triple of its one associator table
+    # term, alternation does: -(x,z,y) and -(z,y,x) read transposed triples
+    # of the one associator table that both families read
     monkeypatch.setattr(checks, "_mul_a_mono", planted(checks._mul_a_mono, (_A, _B), plus_e))
     report = run_suite("alternative", max_degree, samples, 0)
     assert not report.passed
@@ -689,6 +723,39 @@ def test_alternative_reports_a_planted_product_fault(monkeypatch, max_degree, sa
         "alternation mismatch on (d, b, a): (x,y,z) = -1/6 e; -(y,x,z) = -1/6 e; "
         "-(x,z,y) = de - 1/6 e; -(z,y,x) = -de - 1/6 e"
     )
+
+
+def twice(out):
+    """A changed product: every coefficient doubled."""
+    return {m: 2 * c for m, c in out.items()}
+
+
+@pytest.mark.parametrize("max_degree, samples", [(3, 0), (5, 1000)], ids=["degree-3", "defaults"])
+def test_alternative_reports_a_planted_type1_slot_fault(monkeypatch, max_degree, samples):
+    # e * a = ae, now 2 ae: the type-1 slot claims read it from their table
+    # before any other claim of the suite calls the faulty kernel
+    monkeypatch.setattr(checks, "_mul_a_mono", planted(checks._mul_a_mono, (_E, _A), twice))
+    report = run_suite("alternative", max_degree, samples, 0)
+    assert not report.passed
+    assert report.counterexample == (
+        "type-1 slot mismatch on (d, e, a): associator = -ade; zero = 0"
+    )
+
+
+def test_associators_table_matches_the_public_associator():
+    # every entry is associator_a of its triple, and every zero the same object
+    t1 = [(i, j, 0, l, 1) for i, j, l in product((0, 1), repeat=3)]
+    t2 = [(i, j, k, l, 0) for i, j, k, l in product((0, 1), repeat=4)]
+    quotient = t1 + t2
+    els = [AElement.from_monomial(m) for m in quotient]
+    table = checks._associators(quotient)
+    zeros = set()
+    for i, j, k in product(range(len(quotient)), repeat=3):
+        entry = table[i][j][k]
+        assert entry == associator_a(els[i], els[j], els[k]), (i, j, k)
+        if not entry:
+            zeros.add(id(entry))
+    assert len(zeros) == 1
 
 
 def test_homomorphism_reads_the_kernel_when_called(monkeypatch):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from malcev5 import checks, core, envelope
+from malcev5 import alternative, checks, core, envelope
 from malcev5.alternative import type2_associator_closed
 from malcev5.core import ComputationError, MalcevVector, UElement, bracket_m
 from malcev5.diffops import l_of_monomial
@@ -246,6 +246,32 @@ def test_closed_class_sees_only_class_representatives(monkeypatch):
     # the unit has no leading letter, so f * 1 is the ordered prepend's shared object
     for f in range(5):
         assert envelope._lmul_letter(f, core.ONE) is envelope._one_term(1, core._UNIT[f], 1)
+    core.clear_memos()
+
+
+def multidegree(mono):
+    # md(a^i b^j c^k d^l e^m) = (i+k+m, j+k+m, l+m), the grading by the
+    # diagonal automorphisms a -> la, b -> kb, d -> nd (so c -> lk c and
+    # e -> lkn e)
+    i, j, k, l, m = mono
+    return i + k + m, j + k + m, l + m
+
+
+def test_products_preserve_the_multidegree():
+    # every term of x y has md(x) + md(y), in the envelope and in the quotient
+    core.clear_memos()
+    monos = list(monomials_up_to(4))
+    quotient = [m for m in monos if not alternative.in_ideal_j(m)]
+    seen = []  # (pairs, terms) per kernel
+    for kernel, basis in ((envelope._closed_terms, monos), (alternative._mul_a_mono, quotient)):
+        terms = 0
+        for x, y in itertools.product(basis, repeat=2):
+            want = tuple(map(sum, zip(multidegree(x), multidegree(y))))
+            _, num = kernel(x, y)
+            assert {multidegree(m) for m in num} <= {want}, (x, y)
+            terms += len(num)
+        seen.append((len(basis) ** 2, terms))
+    assert seen == [(15876, 28350), (8100, 8738)]
     core.clear_memos()
 
 
